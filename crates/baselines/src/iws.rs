@@ -9,7 +9,7 @@
 //! useful LFs in the final set, which is then fed to the ordinary label
 //! model → end model pipeline.
 //!
-//! Implementation notes (DESIGN.md §2, substitution 7): candidate LFs are
+//! Implementation notes (docs/DESIGN.md, substitution 6): candidate LFs are
 //! all `(primitive, label)` pairs above a coverage floor; LF features are
 //! a seeded random projection of the normalized coverage signature plus
 //! coverage and polarity scalars; the usefulness model is the workspace's
@@ -48,7 +48,7 @@ pub struct IwsConfig {
     /// candidate is judged useful iff `acc ≥ t + margin`. A human asked
     /// "is this heuristic better than random?" does not bless a keyword
     /// that is right 50.5% of the time; without the margin the confirmed
-    /// set fills with statistically-random LFs (DESIGN.md §2, subst. 7).
+    /// set fills with statistically-random LFs (docs/DESIGN.md, subst. 6).
     pub usefulness_margin: f64,
 }
 
@@ -71,17 +71,6 @@ pub struct IwsLse {
     pub config: IwsConfig,
 }
 
-/// Deterministic ±1 hash for the random projection.
-fn sign_hash(example: u32, dim: usize, salt: u64) -> impl Iterator<Item = (usize, f32)> {
-    let mut z = (example as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (0..dim).map(move |k| {
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z ^= z >> 27;
-        let sign = if z & 1 == 0 { 1.0 } else { -1.0 };
-        (k, sign)
-    })
-}
-
 impl IwsLse {
     /// Enumerate candidate LFs and their feature vectors.
     pub fn candidates(&self, ds: &Dataset) -> (Vec<PrimitiveLf>, CsrMatrix) {
@@ -98,7 +87,7 @@ impl IwsLse {
             let mut proj = vec![0.0f32; self.config.projection_dim];
             let norm = (postings.len() as f32).sqrt();
             for &i in postings {
-                for (k, s) in sign_hash(i, self.config.projection_dim, 0x1f5) {
+                for (k, s) in nemo_sparse::rng::sign_hash(i, self.config.projection_dim, 0x1f5) {
                     proj[k] += s / norm;
                 }
             }

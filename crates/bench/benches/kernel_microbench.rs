@@ -1,5 +1,5 @@
-//! Microbenchmarks of the hot kernels (DESIGN.md §4), harness-free and
-//! machine-readable.
+//! Microbenchmarks of the hot kernels (docs/ARCHITECTURE.md, "The bench /
+//! CI gate contract"), harness-free and machine-readable.
 //!
 //! Two kinds of measurement:
 //!
@@ -19,11 +19,12 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use nemo_core::config::{ContextualizerConfig, DistanceBackend, IdpConfig};
+use nemo_core::config::{ContextualizerConfig, IdpConfig};
 use nemo_core::contextualizer::Contextualizer;
 use nemo_core::idp::{IdpSession, ModelOutputs, RandomSelector, SelectionView};
 use nemo_core::oracle::{SimulatedUser, User};
 use nemo_core::pipeline::StandardPipeline;
+use nemo_core::reference::{self, FullRescoreSeu};
 use nemo_core::session::{Session, SeuAggregates};
 use nemo_core::seu::SeuSelector;
 use nemo_core::{NemoSystem, PoolConfig, RoundJob, SessionPool, SharedArtifacts};
@@ -175,11 +176,10 @@ fn kernel_benches(ds: &Dataset, results: &mut Vec<BenchResult>) {
         }
         x = (x + 7) % ds.train.n();
     }
-    let naive_cfg = ContextualizerConfig { backend: DistanceBackend::Naive, ..Default::default() };
     results.push(bench("contextualizer_register_per_lf", || {
-        let mut ctx = Contextualizer::new(naive_cfg.clone());
+        let mut ctx = Contextualizer::new(ContextualizerConfig::default());
         for rec in lineage.tracked() {
-            ctx.register(&rec.lf, rec.dev_example, ds);
+            reference::register_batch_naive(&mut ctx, std::slice::from_ref(rec), ds);
         }
         ctx.n_registered()
     }));
@@ -337,10 +337,10 @@ fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> String {
     )
 }
 
-/// Replay a trajectory scoring the full pool each round through one of
-/// the two [`nemo_core::config::SeuScoring`] paths (both on top of the
-/// same incremental aggregate sync — the difference under test is purely
-/// the scoring).
+/// Replay a trajectory scoring the full pool each round through the
+/// dirty-set cache or the full-rescore oracle [`FullRescoreSeu`] (both on
+/// top of the same incremental aggregate sync — the difference under test
+/// is purely the scoring).
 fn replay_scoring(
     ds: &Dataset,
     trajectory: &[ModelOutputs],
@@ -369,7 +369,7 @@ fn replay_scoring(
             let scores = selector.scores_cached(&view).expect("aggregates present");
             scores.iter().copied().filter(|s| s.is_finite()).sum::<f64>()
         } else {
-            let scores = selector.scores(&view, cache.aggs(), &all);
+            let scores = FullRescoreSeu::default().scores(&view, &all);
             scores.iter().copied().filter(|s| s.is_finite()).sum::<f64>()
         };
     }
@@ -501,9 +501,10 @@ fn seu_dirty_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> (String, f64, f
 /// contextualized session repeats every iteration, on the lineage the
 /// recorded session actually collected.
 ///
-/// The cold reference pairs `WarmStart::Cold` with the plain (Aitken-off)
+/// The cold reference pairs the cold-fit oracle
+/// [`reference::tune_p_cold`] with the plain (Aitken-off)
 /// fixed-point EM — the pre-incremental behaviour, the way
-/// `DistanceBackend::Naive` preserves the pre-index distance engine. The
+/// [`reference::register_batch_naive`] preserves the pre-index distance engine. The
 /// warm path is the production default: Aitken-accelerated fits, seeded
 /// per grid point, run in parallel.
 fn tune_p_warm_bench(
@@ -511,7 +512,6 @@ fn tune_p_warm_bench(
     lineage: &Lineage,
     results: &mut Vec<BenchResult>,
 ) -> (String, f64, f64) {
-    use nemo_core::config::WarmStart;
     let n_lfs = lineage.len();
     assert!(n_lfs >= 2, "recorded session collected too few LFs");
     let lfs: Vec<PrimitiveLf> = lineage.tracked().iter().map(|r| r.lf).collect();
@@ -527,15 +527,14 @@ fn tune_p_warm_bench(
     prev_ctx.tune_p(&prev_matrix, ds, &warm_model, prior);
     let seeds: Vec<Vec<f64>> = prev_ctx.warm_seeds().to_vec();
 
-    let mut cold_ctx = Contextualizer::new(ContextualizerConfig {
-        warm_start: WarmStart::Cold,
-        ..Default::default()
-    });
+    let mut cold_ctx = Contextualizer::new(ContextualizerConfig::default());
     cold_ctx.sync(lineage, ds);
     let mut warm_ctx = Contextualizer::new(ContextualizerConfig::default());
     warm_ctx.sync(lineage, ds);
 
-    let cold = bench("tune_p_cold_em", || cold_ctx.tune_p(&matrix, ds, &cold_model, prior).p);
+    let cold = bench("tune_p_cold_em", || {
+        reference::tune_p_cold(&mut cold_ctx, &matrix, ds, &cold_model, prior).p
+    });
     let warm = bench("tune_p_warm_em", || {
         // Restore the previous round's seeds so every timed call is one
         // genuine cross-round warm tune (not a same-matrix refit).
@@ -610,7 +609,7 @@ fn tune_p_warm_bench(
 /// LF is new this round — the exact refinement workload of every
 /// contextualized round after the first.
 ///
-/// - **rebuild** (`RefinementCaching::Rebuild`): refilter every LF column
+/// - **rebuild** ([`reference::refined_grid_matrices`]): refilter every LF column
 ///   at every grid point (the pre-cache behaviour).
 /// - **incremental**: serve the `n−1` previously cached LFs' columns from
 ///   the cross-round refined-column cache and filter only the new LF's —
@@ -623,22 +622,19 @@ fn tune_p_warm_bench(
 /// rebuild cost aborts the run (the CI regression guard — the committed
 /// numbers show well above the 3× the ROADMAP item claims).
 fn refine_cache_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchResult>) -> String {
-    use nemo_core::config::RefinementCaching;
     let n_lfs = lineage.len();
     let lfs: Vec<PrimitiveLf> = lineage.tracked().iter().map(|r| r.lf).collect();
     let matrix = LabelMatrix::from_lfs(&lfs, &ds.train.corpus);
     let grid = ContextualizerConfig::default().p_grid.len();
 
-    let mut rebuild_ctx = Contextualizer::new(ContextualizerConfig {
-        refinement: RefinementCaching::Rebuild,
-        ..Default::default()
-    });
+    let mut rebuild_ctx = Contextualizer::new(ContextualizerConfig::default());
     rebuild_ctx.sync(lineage, ds);
     let mut incr_ctx = Contextualizer::new(ContextualizerConfig::default());
     incr_ctx.sync(lineage, ds);
 
     // Bit-identity check (and cache warm-up for LFs 0..n−1).
-    let (rb_train, rb_valid) = rebuild_ctx.refined_grid_matrices(&matrix, ds.valid.n());
+    let (rb_train, rb_valid) =
+        reference::refined_grid_matrices(&mut rebuild_ctx, &matrix, ds.valid.n());
     let (in_train, in_valid) = incr_ctx.refined_grid_matrices(&matrix, ds.valid.n());
     for (k, ((a, b), (c, d))) in
         in_train.iter().zip(&rb_train).zip(in_valid.iter().zip(&rb_valid)).enumerate()
@@ -650,7 +646,7 @@ fn refine_cache_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchRe
     }
 
     let rebuild = bench("refine_grid_rebuild", || {
-        rebuild_ctx.refined_grid_matrices(&matrix, ds.valid.n()).0.len()
+        reference::refined_grid_matrices(&mut rebuild_ctx, &matrix, ds.valid.n()).0.len()
     });
     let warm = bench("refine_grid_warm", || {
         incr_ctx.invalidate_refined_cache_from(n_lfs - 1);
@@ -788,10 +784,11 @@ fn matrix_cow_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchResu
 /// assembly + warm parallel fits + class-deduped validation predicts —
 /// every production switch) against
 ///
-/// - the same round under [`PosteriorDedup::PerPoint`] (isolating the
+/// - the same round under [`reference::tune_p_per_point`] (isolating the
 ///   scoring dedup), and
 /// - the full pre-incremental reference round
-///   (`Rebuild` + `Cold` + `PerPoint`, plain fixed-point EM).
+///   ([`reference::tune_p`]: rebuild + cold + per-point, plain
+///   fixed-point EM).
 ///
 /// Tuned percentiles are asserted identical across all paths (and the
 /// class/per-point scores bitwise equal) before timing; with
@@ -799,7 +796,6 @@ fn matrix_cow_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchResu
 /// than per-point (10% noise margin) and the production round ≥2× the
 /// reference round.
 fn tune_p_dedup_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchResult>) -> String {
-    use nemo_core::config::{PosteriorDedup, RefinementCaching, WarmStart};
     let n_lfs = lineage.len();
     assert!(n_lfs >= 2, "recorded session collected too few LFs");
     let lfs: Vec<PrimitiveLf> = lineage.tracked().iter().map(|r| r.lf).collect();
@@ -817,17 +813,9 @@ fn tune_p_dedup_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchRe
 
     let mut class_ctx = Contextualizer::new(ContextualizerConfig::default());
     class_ctx.sync(lineage, ds);
-    let mut pp_ctx = Contextualizer::new(ContextualizerConfig {
-        posterior_dedup: PosteriorDedup::PerPoint,
-        ..Default::default()
-    });
+    let mut pp_ctx = Contextualizer::new(ContextualizerConfig::default());
     pp_ctx.sync(lineage, ds);
-    let mut ref_ctx = Contextualizer::new(ContextualizerConfig {
-        refinement: RefinementCaching::Rebuild,
-        warm_start: WarmStart::Cold,
-        posterior_dedup: PosteriorDedup::PerPoint,
-        ..Default::default()
-    });
+    let mut ref_ctx = Contextualizer::new(ContextualizerConfig::default());
     ref_ctx.sync(lineage, ds);
 
     // Bit-identity across the switches before timing: class vs per-point
@@ -841,7 +829,7 @@ fn tune_p_dedup_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchRe
         let predicts = class_ctx.tune_predicts() - before;
         let before_pp = pp_ctx.tune_predicts();
         pp_ctx.set_warm_seeds(seeds.clone());
-        let t_pp = pp_ctx.tune_p(&matrix, ds, &warm_model, prior);
+        let t_pp = reference::tune_p_per_point(&mut pp_ctx, &matrix, ds, &warm_model, prior);
         assert_eq!(t.p, t_pp.p, "class/per-point tuned percentile diverged");
         assert_eq!(
             t.valid_score.to_bits(),
@@ -849,7 +837,7 @@ fn tune_p_dedup_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchRe
             "class/per-point score not bitwise identical"
         );
         assert_eq!(t.train_matrix, t_pp.train_matrix, "class/per-point tuned matrix diverged");
-        let t_ref = ref_ctx.tune_p(&matrix, ds, &cold_model, prior);
+        let t_ref = reference::tune_p(&mut ref_ctx, &matrix, ds, &cold_model, prior);
         assert_eq!(t.p, t_ref.p, "production tuned percentile diverged from the reference round");
         assert_eq!(
             pp_ctx.tune_predicts() - before_pp,
@@ -865,10 +853,11 @@ fn tune_p_dedup_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchRe
     });
     let per_point = bench("tune_p_per_point", || {
         pp_ctx.set_warm_seeds(seeds.clone());
-        pp_ctx.tune_p(&matrix, ds, &warm_model, prior).p
+        reference::tune_p_per_point(&mut pp_ctx, &matrix, ds, &warm_model, prior).p
     });
-    let reference =
-        bench("tune_p_reference_round", || ref_ctx.tune_p(&matrix, ds, &cold_model, prior).p);
+    let reference = bench("tune_p_reference_round", || {
+        reference::tune_p(&mut ref_ctx, &matrix, ds, &cold_model, prior).p
+    });
 
     let dedup_speedup = per_point.mean_ns / class.mean_ns;
     let warm_round_speedup = reference.mean_ns / class.mean_ns;

@@ -13,10 +13,9 @@ use nemo_data::DatasetName;
 fn main() {
     let protocol = BenchProtocol::from_env();
     println!(
-        "Table 9 — distance-function ablation (profile: {}, {} seeds, {} distance engine)",
+        "Table 9 — distance-function ablation (profile: {}, {} seeds)",
         protocol.profile.name(),
         protocol.n_seeds,
-        nemo_core::config::ContextualizerConfig::default().backend.name()
     );
     let methods = [Method::ClOnly, Method::ClEuclidean, Method::Snorkel];
     let datasets: Vec<_> = DatasetName::ALL.iter().map(|&n| protocol.dataset(n)).collect();

@@ -2,7 +2,7 @@
 
 use nemo_endmodel::LogRegConfig;
 use nemo_labelmodel::{GenerativeModel, LabelModel, MajorityVote, TripletModel};
-use nemo_sparse::{DenseBackend, Distance};
+use nemo_sparse::Distance;
 
 /// Which label model aggregates the weak votes (the paper adopts MeTaL;
 /// alternatives are provided for ablation).
@@ -37,180 +37,6 @@ impl LabelModelKind {
             LabelModelKind::Metal => "metal-moment",
             LabelModelKind::Generative => "generative-em",
             LabelModelKind::Majority => "majority-vote",
-        }
-    }
-}
-
-/// Which distance engine backs the contextualizer's per-LF caches.
-///
-/// Both engines are bit-identical (the indexed kernel accumulates each
-/// row's matching terms in the same order as the row-major merge), so this
-/// switch never changes results — only how fast registration runs. The
-/// naive engine is retained for differential tests
-/// (`tests/contextualizer_paths.rs`) and the regression guard in
-/// `kernel_microbench`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DistanceBackend {
-    /// Inverted-index (CSC) kernel with batched, parallel registration —
-    /// the production path.
-    #[default]
-    Indexed,
-    /// Per-LF row-major scan (the pre-index reference path).
-    Naive,
-}
-
-impl DistanceBackend {
-    /// Name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            DistanceBackend::Indexed => "indexed",
-            DistanceBackend::Naive => "naive",
-        }
-    }
-}
-
-/// How the SEU selector scores the candidate pool each round.
-///
-/// A candidate's utility depends only on the score-table rows of its
-/// primitives, so the dirty-set path caches every candidate's score
-/// components and applies only the row deltas reported by the session's
-/// [`crate::session::SeuAggregates`] dirty log — `O(Σ_{z dirty} df(z) +
-/// n)` per round instead of the full `O(nnz(U))` rescore. A periodic
-/// drift re-anchor, aggregate rebuilds, and rounds whose dirty rows
-/// cover the entire posting mass recompute exactly, bit-identical to
-/// [`SeuScoring::Full`]; delta rounds agree within fp-drift tolerance
-/// (`1e-9`, differential-tested). The full path is retained for
-/// differential tests
-/// (`tests/incremental_differential.rs`, `tests/incremental_paths.rs`)
-/// and is the only path for stand-alone views without cached aggregates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SeuScoring {
-    /// Rescore only candidates covered by a dirty primitive; clean
-    /// candidates keep their cached utility — the production path.
-    #[default]
-    DirtySet,
-    /// Rebuild the score table and rescore the whole pool every round
-    /// (the pre-dirty-set reference path).
-    Full,
-}
-
-impl SeuScoring {
-    /// Name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            SeuScoring::DirtySet => "dirty-set",
-            SeuScoring::Full => "full",
-        }
-    }
-}
-
-/// Whether iterative label-model fits inside percentile tuning are seeded
-/// from previously fitted parameters.
-///
-/// With [`WarmStart::Warm`], [`crate::contextualizer::Contextualizer::tune_p`]
-/// seeds each grid point's EM fit from the parameters fitted at the same
-/// grid point one round earlier, and — because per-point seeding keeps
-/// the fits independent — runs the grid's fits in parallel, so a tuning
-/// round's wall-clock is one fit rather than one per grid point.
-/// Moment-based estimators (MeTaL
-/// triplets, majority vote) ignore the seed, making the switch a no-op
-/// for them. On well-conditioned matrices warm and cold fits agree
-/// within the EM tolerance (not bit-identically — differential-tested);
-/// on weakly-identified matrices, where EM is genuinely multimodal, warm
-/// seeding *tracks the incumbent basin* across rounds instead of
-/// re-picking one from the fixed initializer — see
-/// [`crate::contextualizer::Contextualizer::tune_p`] for why that is the
-/// intended semantics. The cold path remains selectable for differential
-/// tests and for restart-from-scratch reproducibility.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WarmStart {
-    /// Seed EM from previously fitted parameters — the production path.
-    #[default]
-    Warm,
-    /// Every fit starts from the estimator's default initialization.
-    Cold,
-}
-
-impl WarmStart {
-    /// Name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            WarmStart::Warm => "warm",
-            WarmStart::Cold => "cold",
-        }
-    }
-}
-
-/// How `tune_p` obtains the per-grid-point refined label matrices.
-///
-/// Refinement at a fixed percentile is a pure function of the raw column
-/// and the radius `r_j(p)`, and between interactive rounds almost nothing
-/// feeding that function changes: lineage is append-only, so an existing
-/// LF's distance table (hence its radius at every grid point) is frozen
-/// at registration, and its raw column is built once. The incremental
-/// path therefore caches every `(grid point, LF)` pair's filtered
-/// train/valid columns keyed by the radius bits and the raw column's
-/// construction token ([`nemo_lf::LfColumn::token`]), and refilters a
-/// column only when its key actually changed — on a warm round that is
-/// just the newly registered LFs, `O(grid)` filters instead of
-/// `O(grid · lfs)`. Served columns are clones of the cached filter
-/// output, so both paths produce **bit-identical** matrices, tuned
-/// percentiles, and dedup (`repr`/`unique`) resolution; the rebuild path
-/// is retained for differential tests (`tests/refine_cache_differential.rs`)
-/// and the `refine_cache` regression guard in `kernel_microbench`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefinementCaching {
-    /// Serve unchanged columns from the cross-round refined-column cache —
-    /// the production path.
-    #[default]
-    Incremental,
-    /// Re-filter every LF column at every grid point each round (the
-    /// pre-cache reference path).
-    Rebuild,
-}
-
-impl RefinementCaching {
-    /// Name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            RefinementCaching::Incremental => "incremental",
-            RefinementCaching::Rebuild => "rebuild",
-        }
-    }
-}
-
-/// How `tune_p` scores the per-grid-point refined matrices on the
-/// validation split.
-///
-/// Two grid points whose train-side dedup proved the fits identical
-/// (same `repr`, hence bitwise-equal fitted parameters) and whose
-/// refined *validation* matrices are content-equal (radii quantizing to
-/// the same filtered columns — column equality short-circuits through
-/// [`nemo_lf::LfColumn::token`]) necessarily produce bitwise-identical
-/// posteriors and log-likelihood scores. The class path runs **one**
-/// label-model posterior predict + score per such equivalence class and
-/// reuses the representative's score for every member, so the tuned
-/// percentile and validation score are bit-identical to scoring every
-/// grid point — the per-point path is retained as the reference for
-/// differential tests (`tests/matrix_cow_differential.rs`) and the
-/// `tune_p_dedup` regression guard in `kernel_microbench`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PosteriorDedup {
-    /// One posterior predict + score per `(fit, validation matrix)`
-    /// equivalence class — the production path.
-    #[default]
-    Class,
-    /// Predict and score every grid point independently (the
-    /// pre-dedup reference path).
-    PerPoint,
-}
-
-impl PosteriorDedup {
-    /// Name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            PosteriorDedup::Class => "class",
-            PosteriorDedup::PerPoint => "per-point",
         }
     }
 }
@@ -251,7 +77,9 @@ impl SelectionStrategy {
     }
 }
 
-/// Contextualizer settings (paper Sec. 4.3).
+/// Contextualizer settings (paper Sec. 4.3). The contextualizer has one
+/// production path; its pre-optimisation arms are test oracles in
+/// [`mod@crate::reference`], not settings.
 #[derive(Debug, Clone)]
 pub struct ContextualizerConfig {
     /// Distance function (cosine by default; Table 9 compares euclidean).
@@ -259,38 +87,11 @@ pub struct ContextualizerConfig {
     /// Candidate percentile values for the refinement radius; the best is
     /// chosen per iteration by validation accuracy of the soft labels.
     pub p_grid: Vec<f64>,
-    /// Distance engine used to build the per-LF distance caches.
-    pub backend: DistanceBackend,
-    /// Dense reduction kernel for dense-backed feature splits
-    /// ([`nemo_sparse::DenseBackend`]): the blocked multi-accumulator
-    /// kernel (production default, deterministic, ≤ ~1e-9 relative from
-    /// the reference) or the scalar reference leg. Sparse-backed splits
-    /// ignore this switch, and [`DistanceBackend::Naive`] always uses the
-    /// scalar kernels so the reference path stays a single anchored
-    /// implementation.
-    pub dense_backend: DenseBackend,
-    /// Whether percentile tuning warm-starts iterative label-model fits
-    /// across grid points and rounds.
-    pub warm_start: WarmStart,
-    /// Whether `tune_p` serves per-grid-point refined columns from the
-    /// cross-round cache or refilters everything each round.
-    pub refinement: RefinementCaching,
-    /// Whether `tune_p` runs one validation predict per score
-    /// equivalence class or one per grid point.
-    pub posterior_dedup: PosteriorDedup,
 }
 
 impl Default for ContextualizerConfig {
     fn default() -> Self {
-        Self {
-            distance: Distance::Cosine,
-            p_grid: vec![25.0, 50.0, 75.0, 100.0],
-            backend: DistanceBackend::default(),
-            dense_backend: DenseBackend::default(),
-            warm_start: WarmStart::default(),
-            refinement: RefinementCaching::default(),
-            posterior_dedup: PosteriorDedup::default(),
-        }
+        Self { distance: Distance::Cosine, p_grid: vec![25.0, 50.0, 75.0, 100.0] }
     }
 }
 
@@ -347,6 +148,7 @@ impl IdpConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nemo_sparse::DenseBackend;
 
     #[test]
     fn label_model_kinds_build() {
@@ -379,40 +181,23 @@ mod tests {
         let c = ContextualizerConfig::default();
         assert_eq!(c.distance, Distance::Cosine);
         assert_eq!(c.p_grid, vec![25.0, 50.0, 75.0, 100.0]);
-        assert_eq!(c.backend, DistanceBackend::Indexed);
     }
 
     #[test]
     fn backend_names_stable() {
-        assert_eq!(DistanceBackend::Indexed.name(), "indexed");
-        assert_eq!(DistanceBackend::Naive.name(), "naive");
         assert_eq!(DenseBackend::Blocked.name(), "blocked");
         assert_eq!(DenseBackend::Scalar.name(), "scalar");
     }
 
     #[test]
-    fn incremental_switch_names_stable() {
-        assert_eq!(SeuScoring::DirtySet.name(), "dirty-set");
-        assert_eq!(SeuScoring::Full.name(), "full");
-        assert_eq!(WarmStart::Warm.name(), "warm");
-        assert_eq!(WarmStart::Cold.name(), "cold");
-        assert_eq!(RefinementCaching::Incremental.name(), "incremental");
-        assert_eq!(RefinementCaching::Rebuild.name(), "rebuild");
-        assert_eq!(PosteriorDedup::Class.name(), "class");
-        assert_eq!(PosteriorDedup::PerPoint.name(), "per-point");
-    }
-
-    #[test]
     fn incremental_paths_are_the_defaults() {
-        assert_eq!(SeuScoring::default(), SeuScoring::DirtySet);
-        assert_eq!(WarmStart::default(), WarmStart::Warm);
-        assert_eq!(ContextualizerConfig::default().warm_start, WarmStart::Warm);
-        assert_eq!(RefinementCaching::default(), RefinementCaching::Incremental);
-        assert_eq!(ContextualizerConfig::default().refinement, RefinementCaching::Incremental);
-        assert_eq!(PosteriorDedup::default(), PosteriorDedup::Class);
-        assert_eq!(ContextualizerConfig::default().posterior_dedup, PosteriorDedup::Class);
+        // Exhaustive destructure: the contextualizer is configured by its
+        // distance and percentile grid alone, so no fast-vs-reference
+        // switch can be added back without failing to compile here. The
+        // reference arms live in `crate::reference`.
+        let ContextualizerConfig { distance, p_grid } = ContextualizerConfig::default();
+        assert_eq!((distance, p_grid.len()), (Distance::Cosine, 4));
         assert_eq!(DenseBackend::default(), DenseBackend::Blocked);
-        assert_eq!(ContextualizerConfig::default().dense_backend, DenseBackend::Blocked);
     }
 
     #[test]

@@ -16,19 +16,22 @@
 //! Registration is **batched**: all of a round's new LFs go through
 //! [`Contextualizer::register_batch`], which computes every train/valid
 //! distance vector in one pass over the feature matrices' inverted-index
-//! engine ([`nemo_data::Features::point_to_all_many`]), partitioned over
-//! the pivots in parallel. The per-LF naive path is selectable via
-//! [`crate::config::DistanceBackend::Naive`] for differential testing;
-//! both backends are bit-identical.
+//! engine ([`nemo_data::Features::point_to_all_many_with`], blocked dense
+//! kernel), partitioned over the pivots in parallel. The per-LF naive scan
+//! it replaced is the test oracle
+//! [`crate::reference::register_batch_naive`]: bit-identical on sparse
+//! features, within `1e-9` relative on dense ones.
+//!
+//! Every optimisation here has exactly one production path; the
+//! pre-optimisation arms live in [`mod@crate::reference`] as test oracles.
 
-use crate::config::{
-    ContextualizerConfig, DistanceBackend, PosteriorDedup, RefinementCaching, WarmStart,
-};
+use crate::config::ContextualizerConfig;
 use nemo_data::Dataset;
 use nemo_labelmodel::{FittedLabelModel, LabelModel};
-use nemo_lf::{LabelMatrix, LfColumn, Lineage, PrimitiveLf, TrackedLf};
+use nemo_lf::{LabelMatrix, LfColumn, Lineage, TrackedLf};
 use nemo_sparse::parallel::par_map_min;
 use nemo_sparse::stats::percentile_of_sorted;
+use nemo_sparse::DenseBackend;
 // lint: allow(determinism/hash-collections): dedup maps below are
 // lookup-only (entry/or_insert); their iteration order is never observed.
 use std::collections::HashMap;
@@ -74,8 +77,8 @@ pub struct RefineCacheStats {
     /// `(grid point, LF)` slots served from the cache.
     pub hits: usize,
     /// Slots whose own-slot key missed (cold slots, radius changes,
-    /// raw-column changes — and every slot under
-    /// [`RefinementCaching::Rebuild`]).
+    /// raw-column changes — and every slot of the rebuild oracle
+    /// [`crate::reference::refined_grid_matrices`]).
     pub refilters: usize,
     /// Of the `refilters`, slots recovered by sharing an *earlier grid
     /// slot's* cached columns (same LF, same radius bits, same raw token)
@@ -101,21 +104,20 @@ pub struct Contextualizer {
     raw_valid_cols: Vec<LfColumn>,
     /// Per-grid-point LF accuracies from the previous
     /// [`Contextualizer::tune_p`] round, the cross-round EM warm-start
-    /// seeds under [`WarmStart::Warm`] (empty before the first round and
-    /// under [`WarmStart::Cold`]).
+    /// seeds (empty before the first round).
     warm_accs: Vec<Vec<f64>>,
     /// Label-model fit iterations spent by `tune_p` so far (bench
     /// accounting; only iterative estimators report non-trivial counts).
     tune_fits: usize,
     /// Validation posterior predicts run by [`Contextualizer::tune_p`] so
-    /// far — one per score equivalence class under
-    /// [`PosteriorDedup::Class`], one per grid point under
-    /// [`PosteriorDedup::PerPoint`] (bench accounting).
+    /// far — one per score equivalence class (one per grid point under
+    /// the per-point oracles in [`mod@crate::reference`]; bench accounting).
     tune_predicts: usize,
     /// Cross-round refined-column cache, `[grid slot][lf]`, lazily grown
-    /// and revalidated per slot (see [`RefinementCaching`]).
+    /// and revalidated per slot (see
+    /// [`Contextualizer::refined_grid_matrices`]).
     refined_cache: Vec<Vec<Option<RefinedEntry>>>,
-    cache_stats: RefineCacheStats,
+    pub(crate) cache_stats: RefineCacheStats,
 }
 
 impl Contextualizer {
@@ -141,17 +143,17 @@ impl Contextualizer {
     }
 
     /// Validation posterior predicts performed by
-    /// [`Contextualizer::tune_p`] so far. Under
-    /// [`PosteriorDedup::Class`] grid points whose fits and refined
-    /// validation matrices coincide share one predict, so this lags
-    /// `rounds × p_grid.len()`; under [`PosteriorDedup::PerPoint`] it
-    /// equals it (empty-validation rounds predict nothing either way).
+    /// [`Contextualizer::tune_p`] so far. Grid points whose fits and
+    /// refined validation matrices coincide share one predict, so this
+    /// lags `rounds × p_grid.len()`; the per-point oracles in
+    /// [`mod@crate::reference`] predict every grid point (empty-validation
+    /// rounds predict nothing either way).
     pub fn tune_predicts(&self) -> usize {
         self.tune_predicts
     }
 
-    /// Cumulative refined-column cache hit/refilter counters (only the
-    /// [`RefinementCaching::Incremental`] path records hits).
+    /// Cumulative refined-column cache hit/refilter counters (only
+    /// [`Contextualizer::refined_grid_matrices`] records hits).
     pub fn refine_cache_stats(&self) -> RefineCacheStats {
         self.cache_stats
     }
@@ -169,8 +171,8 @@ impl Contextualizer {
     }
 
     /// Per-grid-point warm-start seeds captured by the last
-    /// [`Contextualizer::tune_p`] round (empty under
-    /// [`WarmStart::Cold`]). Together with
+    /// [`Contextualizer::tune_p`] round (the cold oracles in
+    /// [`mod@crate::reference`] leave them untouched). Together with
     /// [`Contextualizer::set_warm_seeds`] this lets a session checkpoint
     /// and restore tuning state — and lets benches measure a single
     /// cross-round warm tune in isolation.
@@ -190,44 +192,38 @@ impl Contextualizer {
         self.train_dists.len()
     }
 
-    /// Register one LF with its development example, caching distances
-    /// (a batch of one; see [`Contextualizer::register_batch`]).
-    pub fn register(&mut self, lf: &PrimitiveLf, dev_example: u32, ds: &Dataset) {
-        self.register_batch(&[TrackedLf { lf: *lf, dev_example, iteration: 0 }], ds);
-    }
-
     /// Register a round's worth of LFs in one pass: every train and valid
     /// distance vector is computed by a single batched call into the
-    /// configured distance engine, and the per-LF radius tables are sorted
-    /// in the same parallel partitioning.
+    /// inverted-index engine (blocked dense kernel for dense-backed
+    /// splits), and the per-LF radius tables are sorted in the same
+    /// parallel partitioning.
     pub fn register_batch(&mut self, recs: &[TrackedLf], ds: &Dataset) {
         if recs.is_empty() {
             return;
         }
         let dist = self.config.distance;
         let pivots: Vec<usize> = recs.iter().map(|r| r.dev_example as usize).collect();
-        let (train_ds, valid_ds) = match self.config.backend {
-            // The production engine takes the configured dense reduction
-            // backend (a no-op for sparse-backed splits); the naive
-            // reference path below stays fully scalar so there is exactly
-            // one anchored reference implementation.
-            DistanceBackend::Indexed => (
-                ds.train.features.point_to_all_many_with(dist, self.config.dense_backend, &pivots),
-                ds.train.features.point_to_other_many_with(
-                    dist,
-                    self.config.dense_backend,
-                    &pivots,
-                    &ds.valid.features,
-                ),
-            ),
-            DistanceBackend::Naive => (
-                pivots.iter().map(|&p| ds.train.features.point_to_all_naive(dist, p)).collect(),
-                pivots
-                    .iter()
-                    .map(|&p| ds.train.features.point_to_other_naive(dist, p, &ds.valid.features))
-                    .collect(),
-            ),
-        };
+        let train = &ds.train.features;
+        let train_ds = train.point_to_all_many_with(dist, DenseBackend::Blocked, &pivots);
+        let valid_ds = train.point_to_other_many_with(
+            dist,
+            DenseBackend::Blocked,
+            &pivots,
+            &ds.valid.features,
+        );
+        self.push_registered(recs, ds, train_ds, valid_ds);
+    }
+
+    /// Cache one batch of precomputed distance vectors (aligned with
+    /// `recs`), sorting the radius tables in parallel — the tail every
+    /// registration engine shares.
+    pub(crate) fn push_registered(
+        &mut self,
+        recs: &[TrackedLf],
+        ds: &Dataset,
+        train_ds: Vec<Vec<f64>>,
+        valid_ds: Vec<Vec<f64>>,
+    ) {
         let sorted: Vec<Vec<f64>> = par_map_min(&train_ds, 2, |_, d: &Vec<f64>| {
             let mut s = d.clone();
             // invariant: distances are finite — both kernels compute
@@ -310,24 +306,20 @@ impl Contextualizer {
     /// The per-grid-point refined train and valid matrices `tune_p`
     /// consumes (one pair per entry of `config.p_grid`, in grid order).
     ///
-    /// Under [`RefinementCaching::Incremental`] each `(grid point, LF)`
-    /// column pair is served from the cross-round cache when its key —
-    /// the radius bits and the raw train column's
+    /// Each `(grid point, LF)` column pair is served from the cross-round
+    /// cache when its key — the radius bits and the raw train column's
     /// [`nemo_lf::LfColumn::token`] — matches, and refiltered (then
     /// re-cached) otherwise. Because lineage is append-only and an
     /// existing LF's distance table is frozen at registration, a warm
     /// round refilters only the newly registered LFs' columns: `O(grid)`
-    /// filters instead of the rebuild path's `O(grid · lfs)`. Served
+    /// filters instead of the `O(grid · lfs)` of refiltering everything
+    /// (the oracle [`crate::reference::refined_grid_matrices`]). Served
     /// columns are **shared handles** of the cached filter output
     /// (`Arc` clones via [`LabelMatrix::push_shared`] — `O(1)` per
-    /// column, no vote memcpy), so both paths are bit-identical — the
+    /// column, no vote memcpy), so both are bit-identical — the
     /// `refine_cache` differential suite and bench guard pin this, and
     /// the CoW suite additionally pins pointer identity across warm
     /// rounds.
-    ///
-    /// Under [`RefinementCaching::Rebuild`] every column is refiltered
-    /// through [`Contextualizer::refined_train_matrix`] /
-    /// [`Contextualizer::refined_valid_matrix`] (the reference path).
     pub fn refined_grid_matrices(
         &mut self,
         raw_train: &LabelMatrix,
@@ -337,12 +329,6 @@ impl Contextualizer {
         // `refined_train_matrix`.
         assert_eq!(raw_train.n_lfs(), self.n_registered(), "matrix/lineage mismatch");
         let p_grid = self.config.p_grid.clone();
-        if self.config.refinement == RefinementCaching::Rebuild {
-            self.cache_stats.refilters += p_grid.len() * self.n_registered();
-            let train = p_grid.iter().map(|&p| self.refined_train_matrix(raw_train, p)).collect();
-            let valid = p_grid.iter().map(|&p| self.refined_valid_matrix(p, n_valid)).collect();
-            return (train, valid);
-        }
 
         // The grid is position-keyed: slot k caches whatever radius
         // p_grid[k] last produced, so a grown/shrunk grid resizes the
@@ -441,31 +427,26 @@ impl Contextualizer {
     /// is applied explicitly: the largest percentile in the grid is
     /// selected regardless of grid order, with `valid_score = 0.0`.
     ///
-    /// Under [`WarmStart::Warm`] (the default) each grid point's label
-    /// model is fitted via [`LabelModel::fit_from`], seeded from the
-    /// parameters fitted *at the same grid point one round earlier* —
-    /// between rounds the refined matrix at a fixed `p` gains one LF and
-    /// barely moves, so a converged previous fit is a typically
-    /// near-fixed-point seed (the Snorkel-style incremental-refit
-    /// insight). Because the seeds are per-point, the grid's fits are
-    /// mutually independent and run **in parallel**, so a warm round's
-    /// wall-clock is one fit, not four (mirroring how
-    /// [`crate::config::DistanceBackend::Indexed`] pairs the batched
-    /// parallel production path against the sequential reference).
+    /// Each grid point's label model is fitted via
+    /// [`LabelModel::fit_from`], seeded from the parameters fitted *at
+    /// the same grid point one round earlier* — between rounds the
+    /// refined matrix at a fixed `p` gains one LF and barely moves, so a
+    /// converged previous fit is a typically near-fixed-point seed (the
+    /// Snorkel-style incremental-refit insight). Because the seeds are
+    /// per-point, the grid's fits are mutually independent and run **in
+    /// parallel**, so a warm round's wall-clock is one fit, not four.
     /// Points without a stored seed (the first round, or a grown grid)
     /// fit from the estimator's initializer; closed-form estimators
-    /// ignore seeds entirely. [`WarmStart::Cold`] is the sequential
-    /// cold-restart reference, bit-compatible with the pre-incremental
-    /// behaviour.
+    /// ignore seeds entirely. The sequential cold-restart oracle is
+    /// [`crate::reference::tune_p_cold`].
     ///
     /// Scoring is deduplicated the same way fitting is: grid points
     /// whose fits resolved identical *and* whose refined validation
     /// matrices are content-equal form a **score equivalence class**,
-    /// and under [`PosteriorDedup::Class`] (the default) only one
-    /// posterior predict + log-likelihood runs per class — bitwise the
-    /// score every member would have computed
+    /// and only one posterior predict + log-likelihood runs per class —
+    /// bitwise the score every member would have computed
     /// ([`nemo_labelmodel::FittedLabelModel::score_log_likelihood`]).
-    /// [`PosteriorDedup::PerPoint`] keeps the per-grid-point reference.
+    /// The per-grid-point oracle is [`crate::reference::tune_p_per_point`].
     ///
     /// On well-conditioned matrices warm and cold fits converge to the
     /// same fixed point within the EM tolerance, and the differential
@@ -476,7 +457,7 @@ impl Contextualizer {
     /// initializer every round, while warm seeding *tracks the incumbent
     /// basin* across rounds — a deliberate semantic choice (measured to
     /// retain a better-scoring mode than the cold restart on such
-    /// matrices), selectable away via [`WarmStart::Cold`].
+    /// matrices).
     pub fn tune_p(
         &mut self,
         raw_train: &LabelMatrix,
@@ -484,17 +465,57 @@ impl Contextualizer {
         label_model: &dyn LabelModel,
         prior: [f64; 2],
     ) -> TunedRefinement {
+        self.tune_p_warm(raw_train, ds, label_model, prior, score_classes)
+    }
+
+    /// [`Contextualizer::tune_p`] with the score-class rule as an
+    /// argument: the cached refined matrices and warm parallel fits, then
+    /// [`Contextualizer::tune_grid`]. The warm seeds are replaced by this
+    /// round's fitted accuracies.
+    pub(crate) fn tune_p_warm(
+        &mut self,
+        raw_train: &LabelMatrix,
+        ds: &Dataset,
+        label_model: &dyn LabelModel,
+        prior: [f64; 2],
+        score_classes: impl FnOnce(&[usize], &[LabelMatrix]) -> Vec<usize>,
+    ) -> TunedRefinement {
+        let (matrices, valid_matrices) = self.refined_grid_matrices(raw_train, ds.valid.n());
+        let seeds = std::mem::take(&mut self.warm_accs);
+        let fit_unique = |unique: &[usize], matrices: &[LabelMatrix]| {
+            par_map_min(unique, 2, |_, &k| {
+                label_model.fit_from(&matrices[k], prior, seeds.get(k).map(Vec::as_slice))
+            })
+        };
+        let (tuned, accs_by_k) =
+            self.tune_grid(matrices, valid_matrices, ds, prior, fit_unique, score_classes);
+        self.warm_accs = accs_by_k;
+        tuned
+    }
+
+    /// The fit-and-select core of percentile tuning, shared by
+    /// [`Contextualizer::tune_p`] and the oracles in [`mod@crate::reference`]:
+    /// collapse grid points with identical refined train matrices, fit
+    /// the unique ones with `fit_unique(unique, matrices)`, score once
+    /// per class of `score_classes(repr, valid_matrices)` (each grid
+    /// point's representative), and pick `p`. Returns the tuned
+    /// refinement and every grid point's fitted LF accuracies.
+    pub(crate) fn tune_grid(
+        &mut self,
+        mut matrices: Vec<LabelMatrix>,
+        valid_matrices: Vec<LabelMatrix>,
+        ds: &Dataset,
+        prior: [f64; 2],
+        fit_unique: impl FnOnce(&[usize], &[LabelMatrix]) -> Vec<Box<dyn FittedLabelModel>>,
+        score_classes: impl FnOnce(&[usize], &[LabelMatrix]) -> Vec<usize>,
+    ) -> (TunedRefinement, Vec<Vec<f64>>) {
         // invariant: an empty grid is a construction-time configuration
         // bug, not a runtime state; documented panic.
         assert!(!self.config.p_grid.is_empty(), "empty percentile grid");
-        let warm = self.config.warm_start == WarmStart::Warm;
-        let dedup_scores = self.config.posterior_dedup == PosteriorDedup::Class;
         let p_grid = self.config.p_grid.clone();
 
-        // Refined matrix per grid point — served from the cross-round
-        // refined-column cache under `RefinementCaching::Incremental` —
-        // then dedup: when adjacent percentiles quantize to the same
-        // refined matrix (no distance falls between the radii), the
+        // Dedup: when adjacent percentiles quantize to the same refined
+        // matrix (no distance falls between the radii), the
         // representative's fit is rebuilt from its accuracies instead of
         // refitting — both a redundant-fit saving and the guarantee that
         // identical matrices score with *identical* parameters, so the
@@ -517,7 +538,6 @@ impl Contextualizer {
         // and — unlike hashing the radius bits — still unifies *distinct*
         // radii that quantize to the same refined matrix, the common case
         // the dedup exists for.
-        let (mut matrices, valid_matrices) = self.refined_grid_matrices(raw_train, ds.valid.n());
         let repr: Vec<usize> = {
             // lint: allow(determinism/hash-collections): entry/or_insert
             // keyed dedup; results read via lookups in grid order, the
@@ -536,18 +556,7 @@ impl Contextualizer {
             repr.iter().enumerate().filter(|&(k, &r)| r == k).map(|(k, _)| k).collect();
         self.tune_fits += unique.len();
 
-        // Fit the unique grid points. The warm path runs them in
-        // parallel — cross-round seeding leaves the fits independent —
-        // while the cold path keeps the sequential reference loop
-        // (bit-compatible with the pre-incremental behaviour).
-        let unique_fits: Vec<Box<dyn FittedLabelModel>> = if warm {
-            let seeds = &self.warm_accs;
-            nemo_sparse::parallel::par_map_min(&unique, 2, |_, &k| {
-                label_model.fit_from(&matrices[k], prior, seeds.get(k).map(Vec::as_slice))
-            })
-        } else {
-            unique.iter().map(|&k| label_model.fit(&matrices[k], prior)).collect()
-        };
+        let unique_fits = fit_unique(&unique, &matrices);
         let mut fitted: Vec<Option<Box<dyn FittedLabelModel>>> =
             (0..p_grid.len()).map(|_| None).collect();
         let mut accs_by_k: Vec<Vec<f64>> = vec![Vec::new(); p_grid.len()];
@@ -564,44 +573,7 @@ impl Contextualizer {
                 )));
             }
         }
-
-        // Score equivalence classes: grid points with the same train-side
-        // representative carry bitwise-equal fitted parameters (the
-        // non-representatives' fits are *rebuilt from* the
-        // representative's accuracies above), so whenever their refined
-        // validation matrices are also content-equal, a posterior predict
-        // at either point runs the identical float program — the class
-        // representative's score IS every member's score, bit for bit.
-        // Under [`PosteriorDedup::Class`] each grid point therefore maps
-        // to the first earlier point with the same fit and an equal
-        // validation matrix, and only class representatives predict;
-        // [`PosteriorDedup::PerPoint`] keeps the one-predict-per-point
-        // reference behaviour. `tests/matrix_cow_differential.rs` pins
-        // bitwise score and selection agreement between the two.
-        //
-        // Validation-matrix equality is again witnessed by coverage
-        // signatures (the valid-side kept-sets are filtered from the same
-        // raw valid column by the same nested radii, so the monotone
-        // argument above applies verbatim), keyed together with the
-        // train-side representative: `O(grid · lfs)` instead of the
-        // pairwise `O(grid² · coverage)` scan, and still catching two
-        // slots whose *different* radii quantize to equal matrices.
-        let score_repr: Vec<usize> = if !dedup_scores {
-            (0..p_grid.len()).collect()
-        } else {
-            // lint: allow(determinism/hash-collections): keyed dedup,
-            // read via lookups in grid order; never iterated.
-            let mut first_of: HashMap<(usize, Vec<usize>), usize> =
-                HashMap::with_capacity(p_grid.len());
-            valid_matrices
-                .iter()
-                .enumerate()
-                .map(|(k, m)| {
-                    let sig: Vec<usize> = m.columns().map(LfColumn::coverage).collect();
-                    *first_of.entry((repr[k], sig)).or_insert(k)
-                })
-                .collect()
-        };
+        let score_repr = score_classes(&repr, &valid_matrices);
 
         // Degenerate case: with an **empty validation split** every grid
         // point's mean log-likelihood is vacuously zero, and the `>=`
@@ -613,7 +585,7 @@ impl Contextualizer {
         // coverage) wins regardless of grid order, with the vacuous score
         // of 0.0 reported. `tests/refine_cache_differential.rs` pins this
         // against a deliberately unsorted grid. No posterior is predicted
-        // on an empty split under either dedup mode.
+        // on an empty split.
         let widest_k = if ds.valid.n() == 0 {
             let mut k_best = 0;
             for (k, &p) in p_grid.iter().enumerate() {
@@ -657,24 +629,57 @@ impl Contextualizer {
                 k_best
             }
         };
-        if warm {
-            self.warm_accs = accs_by_k;
-        }
-        TunedRefinement {
+        let tuned = TunedRefinement {
             p: p_grid[best_k],
             train_matrix: matrices.swap_remove(best_k),
             // invariant: `best_k` indexes a fitted representative —
             // ties resolve to fitted slots and no take() precedes this.
             fitted: fitted[best_k].take().expect("fitted"),
             valid_score: scores[best_k],
-        }
+        };
+        (tuned, accs_by_k)
     }
+}
+
+/// Score equivalence classes of the production `tune_p`: grid points with
+/// the same train-side representative `repr[k]` carry bitwise-equal
+/// fitted parameters (the non-representatives' fits are *rebuilt from*
+/// the representative's accuracies), so whenever their refined
+/// validation matrices are also content-equal, a posterior predict at
+/// either point runs the identical float program — the class
+/// representative's score IS every member's score, bit for bit. Each grid
+/// point therefore maps to the first earlier point with the same fit and
+/// an equal validation matrix, and only class representatives predict.
+/// `tests/matrix_cow_differential.rs` pins bitwise score and selection
+/// agreement against the per-point oracle.
+///
+/// Validation-matrix equality is again witnessed by coverage signatures
+/// (the valid-side kept-sets are filtered from the same raw valid column
+/// by the same nested radii, so the monotone argument of the fit dedup
+/// applies verbatim), keyed together with the train-side representative:
+/// `O(grid · lfs)` instead of the pairwise `O(grid² · coverage)` scan,
+/// and still catching two slots whose *different* radii quantize to
+/// equal matrices.
+pub(crate) fn score_classes(repr: &[usize], valid_matrices: &[LabelMatrix]) -> Vec<usize> {
+    // lint: allow(determinism/hash-collections): keyed dedup, read via
+    // lookups in grid order; never iterated.
+    let mut first_of: HashMap<(usize, Vec<usize>), usize> =
+        HashMap::with_capacity(valid_matrices.len());
+    valid_matrices
+        .iter()
+        .enumerate()
+        .map(|(k, m)| {
+            let sig: Vec<usize> = m.columns().map(LfColumn::coverage).collect();
+            *first_of.entry((repr[k], sig)).or_insert(k)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ContextualizerConfig;
+    use crate::reference;
     use nemo_data::catalog::toy_text;
     use nemo_labelmodel::GenerativeModel;
     use nemo_lf::Label;
@@ -795,16 +800,12 @@ mod tests {
         // score within fp noise of the cold path.
         let ds = toy_text(1);
         let (mut warm_ctx, matrix, lineage) = setup(&ds, 8, 12);
-        let cold_cfg = ContextualizerConfig {
-            warm_start: crate::config::WarmStart::Cold,
-            ..Default::default()
-        };
-        let mut cold_ctx = Contextualizer::new(cold_cfg);
+        let mut cold_ctx = Contextualizer::new(ContextualizerConfig::default());
         cold_ctx.sync(&lineage, &ds);
         let model = GenerativeModel::default();
         for _round in 0..3 {
             let warm = warm_ctx.tune_p(&matrix, &ds, &model, ds.prior());
-            let cold = cold_ctx.tune_p(&matrix, &ds, &model, ds.prior());
+            let cold = reference::tune_p_cold(&mut cold_ctx, &matrix, &ds, &model, ds.prior());
             assert_eq!(warm.p, cold.p, "tuned percentile diverged");
             assert!(
                 (warm.valid_score - cold.valid_score).abs() < 1e-4,
@@ -817,16 +818,13 @@ mod tests {
 
     #[test]
     fn batched_indexed_and_per_lf_naive_backends_identical() {
-        use crate::config::DistanceBackend;
         let ds = toy_text(1);
         let (_, _, lineage) = setup(&ds, 6, 9);
         let mut batched = Contextualizer::new(ContextualizerConfig::default());
         batched.sync(&lineage, &ds);
-        let naive_cfg =
-            ContextualizerConfig { backend: DistanceBackend::Naive, ..Default::default() };
-        let mut per_lf = Contextualizer::new(naive_cfg);
+        let mut per_lf = Contextualizer::new(ContextualizerConfig::default());
         for rec in lineage.tracked() {
-            per_lf.register(&rec.lf, rec.dev_example, &ds);
+            reference::register_batch_naive(&mut per_lf, std::slice::from_ref(rec), &ds);
         }
         assert_eq!(batched.n_registered(), per_lf.n_registered());
         for j in 0..batched.n_registered() {
@@ -863,20 +861,16 @@ mod tests {
 
     #[test]
     fn refined_grid_matrices_cache_is_bit_identical_to_rebuild() {
-        use crate::config::RefinementCaching;
         let ds = toy_text(1);
         let (_, matrix, lineage) = setup(&ds, 6, 21);
         let mut incr = Contextualizer::new(ContextualizerConfig::default());
         incr.sync(&lineage, &ds);
-        let mut rebuild = Contextualizer::new(ContextualizerConfig {
-            refinement: RefinementCaching::Rebuild,
-            ..Default::default()
-        });
+        let mut rebuild = Contextualizer::new(ContextualizerConfig::default());
         rebuild.sync(&lineage, &ds);
         // Two rounds: a cold fill and a fully warm round.
         for round in 0..2 {
             let (ti, vi) = incr.refined_grid_matrices(&matrix, ds.valid.n());
-            let (tr, vr) = rebuild.refined_grid_matrices(&matrix, ds.valid.n());
+            let (tr, vr) = reference::refined_grid_matrices(&mut rebuild, &matrix, ds.valid.n());
             for (k, ((a, b), (c, d))) in ti.iter().zip(&tr).zip(vi.iter().zip(&vr)).enumerate() {
                 for j in 0..a.n_lfs() {
                     assert_eq!(
@@ -957,15 +951,12 @@ mod tests {
     fn class_and_per_point_scoring_agree_bitwise() {
         let ds = toy_text(1);
         let (mut class_ctx, matrix, lineage) = setup(&ds, 8, 32);
-        let mut pp_ctx = Contextualizer::new(ContextualizerConfig {
-            posterior_dedup: crate::config::PosteriorDedup::PerPoint,
-            ..Default::default()
-        });
+        let mut pp_ctx = Contextualizer::new(ContextualizerConfig::default());
         pp_ctx.sync(&lineage, &ds);
         let model = GenerativeModel::default();
         for round in 0..3 {
             let a = class_ctx.tune_p(&matrix, &ds, &model, ds.prior());
-            let b = pp_ctx.tune_p(&matrix, &ds, &model, ds.prior());
+            let b = reference::tune_p_per_point(&mut pp_ctx, &matrix, &ds, &model, ds.prior());
             assert_eq!(a.p, b.p, "round {round}: tuned percentile diverged");
             assert_eq!(
                 a.valid_score.to_bits(),

@@ -95,17 +95,6 @@ struct CandidateFamily {
     features: CsrMatrix,
 }
 
-/// Deterministic ±1 hash for the feature projection.
-fn sign_hash(example: u32, dim: usize, salt: u64) -> impl Iterator<Item = (usize, f32)> {
-    let mut z = (example as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (0..dim).map(move |k| {
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z ^= z >> 27;
-        let sign = if z & 1 == 0 { 1.0 } else { -1.0 };
-        (k, sign)
-    })
-}
-
 /// The IWS selection engine. See the module docs for the protocol.
 #[derive(Debug, Clone)]
 pub struct IwsEngine {
@@ -151,7 +140,9 @@ impl IwsEngine {
             let mut proj = vec![0.0f32; self.config.projection_dim];
             let norm = (postings.len() as f32).sqrt();
             for &i in postings {
-                for (k, s) in sign_hash(i, self.config.projection_dim, PROJECTION_SALT) {
+                for (k, s) in
+                    nemo_sparse::rng::sign_hash(i, self.config.projection_dim, PROJECTION_SALT)
+                {
                     proj[k] += s / norm;
                 }
             }

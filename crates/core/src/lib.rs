@@ -22,6 +22,8 @@
 //! [`system`] facade, the multi-LF extension of Sec. 7 ([`multi_lf`]), and
 //! the multi-tenant serving layer — the immutable [`artifacts`] shared by
 //! every user and the [`pool`] scheduling hundreds of sessions over them.
+//! The pre-optimisation arm of every fast path survives only as a test
+//! oracle in [`mod@reference`].
 
 #![warn(missing_docs)]
 
@@ -36,6 +38,7 @@ pub mod multi_lf;
 pub mod oracle;
 pub mod pipeline;
 pub mod pool;
+pub mod reference;
 pub mod session;
 pub mod seu;
 pub mod system;

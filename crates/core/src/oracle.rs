@@ -191,7 +191,7 @@ impl User for SimulatedUser {
     }
 }
 
-/// An imperfect user for the simulated user study (Table 3; DESIGN.md §2
+/// An imperfect user for the simulated user study (Table 3; docs/DESIGN.md,
 /// substitution 4): with probability `lapse` the accuracy filter is
 /// skipped entirely, and the base threshold is jittered per user.
 #[derive(Debug, Clone)]

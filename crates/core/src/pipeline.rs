@@ -125,16 +125,14 @@ impl LearningPipeline for StandardPipeline {
 ///
 /// The pipeline owns the [`Contextualizer`] and therefore all of its
 /// cross-round caches: the per-LF distance tables, the EM warm-start
-/// seeds, and the refined-column cache behind
-/// [`crate::config::RefinementCaching::Incremental`]. A
+/// seeds, and the cross-round refined-column cache. A
 /// [`crate::session::Session`] drives `learn` every round with the
 /// *same* pipeline instance, so `Contextualizer::sync` registers only the
 /// round's new LFs and `tune_p` refilters only their columns — the rest
 /// of the per-grid-point refined matrices are assembled from shared
 /// `Arc` handles of the cached columns (`O(1)` per column, zero vote
 /// memcpys), and grid points whose fits and refined validation matrices
-/// coincide share one posterior predict
-/// ([`crate::config::PosteriorDedup::Class`]). Constructing a fresh
+/// coincide share one posterior predict. Constructing a fresh
 /// pipeline per round forfeits exactly that reuse (results are identical
 /// either way; the caches never change outputs).
 pub struct ContextualizedPipeline {

@@ -1,0 +1,196 @@
+//! Reference oracles: the pre-optimisation arm of every fast path in the
+//! interactive loop, kept for differential tests and the kernel
+//! microbench, never as production configuration.
+//!
+//! Production has exactly one path per stage; each item here is the path
+//! it replaced. Every public item is pinned against production by a
+//! differential suite under `tests/`, which the
+//! `doctrine/switch-differential` lint enforces (docs/ARCHITECTURE.md,
+//! "Doctrine: every fast path has a reference oracle", maps each oracle
+//! to its suite). Agreement is bitwise except where an optimisation
+//! changes the float program: dirty-set delta rounds drift by bounded
+//! rounding steps, and warm-started EM reconverges within its tolerance.
+//! Under a seed-free estimator (MeTaL triplets, majority vote) warm and
+//! cold fits coincide, so whole sessions agree bit for bit.
+
+use crate::config::{ContextualizerConfig, IdpConfig};
+use crate::contextualizer::{score_classes, Contextualizer, TunedRefinement};
+use crate::idp::{ModelOutputs, SelectionView, Selector};
+use crate::pipeline::{end_model_outputs, LearningPipeline, UNIFORM_BALANCE};
+use crate::seu::{select_by, SeuSelector};
+use crate::user_model::UserModelKind;
+use crate::utility::UtilityKind;
+use nemo_data::Dataset;
+use nemo_labelmodel::{FittedLabelModel, LabelModel};
+use nemo_lf::{LabelMatrix, Lineage, TrackedLf};
+use nemo_sparse::DetRng;
+
+/// Register LFs one row-major scan per LF and split (the pre-index
+/// engine, scalar dense kernels throughout) — the oracle for
+/// [`Contextualizer::register_batch`].
+pub fn register_batch_naive(ctx: &mut Contextualizer, recs: &[TrackedLf], ds: &Dataset) {
+    if recs.is_empty() {
+        return;
+    }
+    let dist = ctx.config.distance;
+    let train = &ds.train.features;
+    let train_ds =
+        recs.iter().map(|r| train.point_to_all_naive(dist, r.dev_example as usize)).collect();
+    let valid_ds = recs
+        .iter()
+        .map(|r| train.point_to_other_naive(dist, r.dev_example as usize, &ds.valid.features))
+        .collect();
+    ctx.push_registered(recs, ds, train_ds, valid_ds);
+}
+
+/// Refilter every LF column at every grid point (the pre-cache path) —
+/// the oracle for [`Contextualizer::refined_grid_matrices`]. Every slot
+/// counts as a refilter; none is a cache hit.
+pub fn refined_grid_matrices(
+    ctx: &mut Contextualizer,
+    raw_train: &LabelMatrix,
+    n_valid: usize,
+) -> (Vec<LabelMatrix>, Vec<LabelMatrix>) {
+    // invariant: same matrix/lineage alignment contract as
+    // `Contextualizer::refined_train_matrix`.
+    assert_eq!(raw_train.n_lfs(), ctx.n_registered(), "matrix/lineage mismatch");
+    let p_grid = &ctx.config.p_grid;
+    let train = p_grid.iter().map(|&p| ctx.refined_train_matrix(raw_train, p)).collect();
+    let valid = p_grid.iter().map(|&p| ctx.refined_valid_matrix(p, n_valid)).collect();
+    ctx.cache_stats.refilters += ctx.config.p_grid.len() * ctx.n_registered();
+    (train, valid)
+}
+
+/// Fit the unique grid points sequentially from the estimator's
+/// initializer (the pre-warm-start loop).
+fn cold_fits<'m>(
+    label_model: &'m dyn LabelModel,
+    prior: [f64; 2],
+) -> impl FnOnce(&[usize], &[LabelMatrix]) -> Vec<Box<dyn FittedLabelModel>> + 'm {
+    move |unique, matrices| unique.iter().map(|&k| label_model.fit(&matrices[k], prior)).collect()
+}
+
+/// Every grid point is its own score class: one predict per point.
+fn per_point(_repr: &[usize], valid_matrices: &[LabelMatrix]) -> Vec<usize> {
+    (0..valid_matrices.len()).collect()
+}
+
+/// The pre-incremental percentile tuner: refilter every grid point
+/// ([`refined_grid_matrices`]), fit every unique grid point cold and in
+/// sequence, and predict every grid point. Warm seeds are neither read
+/// nor written. Bit-identical to [`Contextualizer::tune_p`] under a
+/// seed-free estimator; within EM tolerance otherwise.
+pub fn tune_p(
+    ctx: &mut Contextualizer,
+    raw_train: &LabelMatrix,
+    ds: &Dataset,
+    label_model: &dyn LabelModel,
+    prior: [f64; 2],
+) -> TunedRefinement {
+    let (matrices, valid_matrices) = refined_grid_matrices(ctx, raw_train, ds.valid.n());
+    ctx.tune_grid(matrices, valid_matrices, ds, prior, cold_fits(label_model, prior), per_point).0
+}
+
+/// [`Contextualizer::tune_p`] with only the fits swapped for cold
+/// sequential ones — isolates the warm start (cached refinement and
+/// score-class dedup stay on). Warm seeds are neither read nor written.
+pub fn tune_p_cold(
+    ctx: &mut Contextualizer,
+    raw_train: &LabelMatrix,
+    ds: &Dataset,
+    label_model: &dyn LabelModel,
+    prior: [f64; 2],
+) -> TunedRefinement {
+    let (matrices, valid_matrices) = ctx.refined_grid_matrices(raw_train, ds.valid.n());
+    let fits = cold_fits(label_model, prior);
+    ctx.tune_grid(matrices, valid_matrices, ds, prior, fits, score_classes).0
+}
+
+/// [`Contextualizer::tune_p`] with only the scoring swapped for one
+/// predict per grid point — isolates the score-class dedup (cached
+/// refinement and warm parallel fits stay on, seeds included).
+pub fn tune_p_per_point(
+    ctx: &mut Contextualizer,
+    raw_train: &LabelMatrix,
+    ds: &Dataset,
+    label_model: &dyn LabelModel,
+    prior: [f64; 2],
+) -> TunedRefinement {
+    ctx.tune_p_warm(raw_train, ds, label_model, prior, per_point)
+}
+
+/// SEU that rebuilds its score table and rescores the whole pool every
+/// round (the pre-dirty-set path) — the oracle for [`SeuSelector`]'s
+/// dirty-set cache. Same decision rule, same RNG draws.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FullRescoreSeu {
+    /// User-model variant.
+    pub user_model: UserModelKind,
+    /// Utility variant.
+    pub utility: UtilityKind,
+}
+
+impl FullRescoreSeu {
+    /// Expected utility of every example in `avail`, in order, from a
+    /// freshly built score table (over the view's session aggregates when
+    /// present, rebuilt ones otherwise).
+    pub fn scores(&self, view: &SelectionView<'_>, avail: &[usize]) -> Vec<f64> {
+        SeuSelector::with(self.user_model, self.utility).full_rescore(view, avail)
+    }
+}
+
+impl Selector for FullRescoreSeu {
+    fn name(&self) -> &'static str {
+        "SEU"
+    }
+
+    fn select(&mut self, view: &SelectionView<'_>, rng: &mut DetRng) -> Option<usize> {
+        select_by(view, rng, |avail| self.scores(view, avail))
+    }
+}
+
+/// [`crate::ContextualizedPipeline`] on every reference arm: naive
+/// registration ([`register_batch_naive`]) and the pre-incremental tuner
+/// ([`tune_p`]). Paired with [`FullRescoreSeu`] it replays a whole
+/// session without any optimisation of the interactive loop.
+pub struct ReferencePipeline {
+    ctx: Contextualizer,
+}
+
+impl ReferencePipeline {
+    /// The underlying contextualizer (diagnostics).
+    pub fn contextualizer(&self) -> &Contextualizer {
+        &self.ctx
+    }
+}
+
+impl Default for ReferencePipeline {
+    fn default() -> Self {
+        Self { ctx: Contextualizer::new(ContextualizerConfig::default()) }
+    }
+}
+
+impl LearningPipeline for ReferencePipeline {
+    fn name(&self) -> &'static str {
+        "contextualized-reference"
+    }
+
+    fn learn(
+        &mut self,
+        lineage: &Lineage,
+        raw_matrix: &LabelMatrix,
+        ds: &Dataset,
+        config: &IdpConfig,
+        iter_seed: u64,
+    ) -> ModelOutputs {
+        let n = self.ctx.n_registered();
+        register_batch_naive(&mut self.ctx, &lineage.tracked()[n..], ds);
+        if lineage.is_empty() {
+            return ModelOutputs::initial(ds);
+        }
+        let label_model = config.label_model.build();
+        let tuned = tune_p(&mut self.ctx, raw_matrix, ds, &*label_model, UNIFORM_BALANCE);
+        let (posterior, covered) = tuned.fitted.predict_with_coverage(&tuned.train_matrix);
+        end_model_outputs(posterior, &covered, ds, config, iter_seed, Some(tuned.p))
+    }
+}

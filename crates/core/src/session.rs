@@ -95,7 +95,7 @@ pub enum SyncOutcome {
 /// [`crate::seu::SeuSelector`] score cache) snapshot the generation when
 /// they compute, then ask [`SeuAggregates::dirty_prims_since`] what
 /// changed and revalidate only that — the dirty-set scoring path of
-/// [`crate::config::SeuScoring`]. The log is cleared at every rebuild
+/// [`crate::seu::SeuSelector::scores_cached`]. The log is cleared at every rebuild
 /// (a rebuild dirties everything, reported as `None`), so its size is
 /// bounded by the drift-rebuild cadence (64 delta syncs).
 #[derive(Debug)]
@@ -705,6 +705,11 @@ impl<'a> Session<'a> {
         expect_len("train_probs", n_train, ckpt.train_probs.len())?;
         expect_len("valid_pred", ds.valid.n(), ckpt.valid_pred.len())?;
         expect_len("test_pred", ds.test.n(), ckpt.test_pred.len())?;
+        // The drivers evaluate every `eval_every` rounds (`(t + 1) %
+        // eval_every`), so a zero cadence would panic the restored loop.
+        if ckpt.config.eval_every == 0 {
+            return Err(RestoreError::ValueOutOfRange { field: "eval_every" });
+        }
 
         let unit_interval = |field, values: &[f64]| {
             if values.iter().all(|p| p.is_finite() && (0.0..=1.0).contains(p)) {

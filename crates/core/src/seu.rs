@@ -25,16 +25,17 @@
 //!    why the paper's Table 6 "Uniform" column equals its Table 2
 //!    "Snorkel" (random) column on five of six datasets.
 //!
-//! **Fast path** (DESIGN.md §3): a single pass over the inverted index
-//! accumulates per-primitive aggregates ([`PrimAgg`]) from which both
-//! `Ψ_t(λ_{z,y})` and `acc(λ_{z,y})` are O(1); scoring all examples then
-//! costs `O(nnz(U))` total. Inside a [`crate::session::Session`] the
-//! aggregates are additionally maintained *incrementally* across rounds,
-//! and scoring goes through a per-round [`ScoreTable`] (per-primitive
-//! weight/utility products) evaluated in parallel over the pool. A naive
-//! per-example reference implementation is kept for differential testing.
+//! **Fast path** (docs/ARCHITECTURE.md, "One interactive round"): a
+//! single pass over the inverted index accumulates per-primitive
+//! aggregates ([`PrimAgg`]) from which both `Ψ_t(λ_{z,y})` and
+//! `acc(λ_{z,y})` are O(1); scoring all examples then costs `O(nnz(U))`
+//! total. Inside a [`crate::session::Session`] the aggregates are
+//! additionally maintained *incrementally* across rounds, and scoring
+//! goes through a per-round [`ScoreTable`] (per-primitive weight/utility
+//! products) evaluated in parallel over the pool. A naive per-example
+//! reference implementation is kept for differential testing.
 //!
-//! **Dirty-set path** ([`SeuScoring::DirtySet`], the default): the
+//! **Dirty-set path** (whenever the view carries session aggregates): the
 //! selector keeps the score table *and* every candidate's score
 //! components (weighted-utility numerator, weight-mass denominator)
 //! cached across rounds. A candidate's utility depends only on the table
@@ -47,7 +48,8 @@
 //! `O(nnz(U))`. Candidates touched by no dirty row keep their cached
 //! components bitwise. The in-place updates drift by at most one
 //! rounding step each; the cache re-anchors with an exact recompute
-//! (bit-identical to [`SeuScoring::Full`]) on a fixed cadence, after
+//! (bit-identical to the full-rescore oracle
+//! [`crate::reference::FullRescoreSeu`]) on a fixed cadence, after
 //! aggregate rebuilds, and when the dirty rows cover the entire posting
 //! mass. Delta rounds — including real learning rounds, where the label
 //! model moves most covered posteriors — agree with the full rescore
@@ -55,7 +57,6 @@
 //! `tests/incremental_differential.rs` and end-to-end in
 //! `tests/incremental_paths.rs`.
 
-use crate::config::SeuScoring;
 use crate::idp::{SelectionView, Selector};
 use crate::user_model::UserModelKind;
 use crate::utility::{PrimAgg, UtilityKind};
@@ -89,7 +90,7 @@ pub struct DirtyScoreStats {
 /// the session bounds its aggregate drift.
 const SCORE_ANCHOR_ROUNDS: usize = 64;
 
-/// The cross-round score cache behind [`SeuScoring::DirtySet`]: the last
+/// The cross-round dirty-set score cache: the last
 /// round's table, per-example score components, and full-pool utilities,
 /// keyed to one [`crate::session::SeuAggregates`] instance by `(id,
 /// generation)` and to the selector configuration that produced it.
@@ -125,9 +126,6 @@ pub struct SeuSelector {
     pub user_model: UserModelKind,
     /// Utility variant (full Eq. 3 by default; Table 7 ablations).
     pub utility: UtilityKind,
-    /// Scoring mode: cached dirty-set rescoring (default) or full-pool
-    /// rescore every round (the differential-test reference).
-    pub scoring: SeuScoring,
     cache: Option<ScoreCache>,
 }
 
@@ -141,12 +139,6 @@ impl SeuSelector {
     /// Table 6/7 ablations).
     pub fn with(user_model: UserModelKind, utility: UtilityKind) -> Self {
         Self { user_model, utility, ..Self::default() }
-    }
-
-    /// Builder-style scoring-mode override.
-    pub fn with_scoring(mut self, scoring: SeuScoring) -> Self {
-        self.scoring = scoring;
-        self
     }
 
     /// Accounting of the dirty-set score cache so far (zeros until the
@@ -275,8 +267,8 @@ impl SeuSelector {
 /// every per-candidate branch — accuracy, weight, collected-LF lookup,
 /// utility variant — out of the per-occurrence scoring loop, which then
 /// reduces to two fused multiply-adds per `(example, primitive)` slot.
-/// Under [`SeuScoring::DirtySet`] the table survives across rounds and
-/// only dirty rows are refilled.
+/// Inside the dirty-set cache the table survives across rounds and only
+/// dirty rows are refilled.
 #[derive(Debug, Clone)]
 pub struct ScoreTable {
     w: Vec<[f64; 2]>,
@@ -407,6 +399,16 @@ impl SeuSelector {
         nemo_sparse::parallel::par_map(avail, |_, &x| self.expected_utility_tabled(view, &table, x))
     }
 
+    /// Rebuild the score table and rescore every available example — the
+    /// path for stand-alone views without session aggregates (their
+    /// per-primitive aggregates are rebuilt from the view first).
+    pub(crate) fn full_rescore(&self, view: &SelectionView<'_>, avail: &[usize]) -> Vec<f64> {
+        match view.aggs {
+            Some(cached) => self.scores(view, cached.aggs(), avail),
+            None => self.scores(view, &Self::primitive_aggregates(view), avail),
+        }
+    }
+
     /// Full-pool expected utilities served from the dirty-set cache, or
     /// `None` when the view carries no session aggregates (stand-alone
     /// views have no dirty log to revalidate against).
@@ -424,9 +426,9 @@ impl SeuSelector {
     /// The in-place sums pick up at most one rounding step per update, so
     /// delta-round scores match an exact recompute within fp-drift
     /// tolerance (differential-tested at `1e-9`); the cache re-anchors
-    /// with an exact full recompute — bit-identical to
-    /// [`SeuScoring::Full`] — every 64 (`SCORE_ANCHOR_ROUNDS`) delta
-    /// rounds, after any aggregate rebuild, and when the dirty rows cover
+    /// with an exact full recompute — bit-identical to the oracle
+    /// [`crate::reference::FullRescoreSeu`] — every 64
+    /// (`SCORE_ANCHOR_ROUNDS`) delta rounds, after any aggregate rebuild, and when the dirty rows cover
     /// the entire posting mass (where delta application could only cost
     /// more than the rescore it avoids).
     pub fn scores_cached(&mut self, view: &SelectionView<'_>) -> Option<&[f64]> {
@@ -592,43 +594,46 @@ impl Selector for SeuSelector {
     }
 
     fn select(&mut self, view: &SelectionView<'_>, rng: &mut DetRng) -> Option<usize> {
-        let avail = view.available();
-        if avail.is_empty() {
-            return None;
-        }
-        // Before any LF exists the model state is the uninformative prior,
-        // so SEU's scores carry no signal; start with a random probe (the
-        // paper's loop equally has nothing to condition on at t = 0).
-        if view.lineage.is_empty() {
-            return Some(avail[rng.index(avail.len())]);
-        }
-        // Dirty-set fast path: serve full-pool utilities from the score
-        // cache (rescoring only dirty candidates), then restrict to the
-        // available pool. Falls through to the per-round rescore for
-        // stand-alone views or `SeuScoring::Full`.
-        let scores: Vec<f64> = if self.scoring == SeuScoring::DirtySet && view.aggs.is_some() {
-            // invariant: guarded by `view.aggs.is_some()` on this branch,
-            // and `scores_cached` returns None only for aggregate-less
-            // views.
-            let cached = self.scores_cached(view).expect("view carries aggregates");
-            avail.iter().map(|&x| cached[x]).collect()
-        } else {
-            let rebuilt;
-            let aggs: &[PrimAgg] = match view.aggs {
-                Some(cached) => cached.aggs(),
-                None => {
-                    rebuilt = Self::primitive_aggregates(view);
-                    &rebuilt
-                }
-            };
-            self.scores(view, aggs, &avail)
-        };
-        if scores.iter().all(|s| s.is_infinite()) {
-            return Some(avail[rng.index(avail.len())]);
-        }
-        let ties = argmax_set(&scores);
-        Some(avail[ties[rng.index(ties.len())]])
+        select_by(view, rng, |avail| match view.aggs {
+            // Dirty-set fast path: serve full-pool utilities from the
+            // score cache (rescoring only dirty candidates), then restrict
+            // to the available pool.
+            Some(_) => {
+                // invariant: `scores_cached` returns None only for
+                // aggregate-less views, and this arm has aggregates.
+                let cached = self.scores_cached(view).expect("view carries aggregates");
+                avail.iter().map(|&x| cached[x]).collect()
+            }
+            None => self.full_rescore(view, avail),
+        })
     }
+}
+
+/// The SEU decision rule over per-candidate utilities from `score`
+/// (called with the available pool, in order): a random probe before any
+/// LF exists or when every candidate is unscoreable, otherwise a uniform
+/// draw among the argmax ties.
+pub(crate) fn select_by(
+    view: &SelectionView<'_>,
+    rng: &mut DetRng,
+    score: impl FnOnce(&[usize]) -> Vec<f64>,
+) -> Option<usize> {
+    let avail = view.available();
+    if avail.is_empty() {
+        return None;
+    }
+    // Before any LF exists the model state is the uninformative prior,
+    // so SEU's scores carry no signal; start with a random probe (the
+    // paper's loop equally has nothing to condition on at t = 0).
+    if view.lineage.is_empty() {
+        return Some(avail[rng.index(avail.len())]);
+    }
+    let scores = score(&avail);
+    if scores.iter().all(|s| s.is_infinite()) {
+        return Some(avail[rng.index(avail.len())]);
+    }
+    let ties = argmax_set(&scores);
+    Some(avail[ties[rng.index(ties.len())]])
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //!
 //! Dataset substrate: the [`Dataset`]/[`Split`]/[`Features`] abstraction
 //! plus the synthetic generators that substitute for the paper's six
-//! evaluation datasets (Table 1). See DESIGN.md §2 for the substitution
+//! evaluation datasets (Table 1). See docs/DESIGN.md for the substitution
 //! rationale: the generators plant exactly the cluster-locality structure
 //! (Figures 2–3, Example 1.1) that the paper's methods exploit.
 //!

@@ -1,8 +1,9 @@
 //! The shared cluster-mixture generative process.
 //!
-//! This is the statistical heart of the dataset substitution (DESIGN.md §2):
-//! examples belong to latent clusters (product categories / topics / scene
-//! contexts), and three token populations compose each example:
+//! This is the statistical heart of the dataset substitution
+//! (docs/DESIGN.md, substitution 3): examples belong to latent clusters
+//! (product categories / topics / scene contexts), and three token
+//! populations compose each example:
 //!
 //! 1. **Shared neutral tokens** — common across clusters, label-independent.
 //! 2. **Cluster background tokens** — cluster-specific, label-independent.

@@ -1,8 +1,8 @@
 //! The cross-file structural rules: every fast path keeps its reference
 //! path honest.
 //!
-//! These checks read the workspace as a whole — the config-switch
-//! registry against the differential-test suite, `BENCH_kernel.json`
+//! These checks read the workspace as a whole — the reference oracles
+//! against the differential-test suite, `BENCH_kernel.json`
 //! against the bench harness, `#![warn(missing_docs)]` on the published
 //! crates, and `Cargo.lock` hermeticity.
 
@@ -13,19 +13,24 @@ use std::path::Path;
 use crate::rules::{justified, Finding, RuleId};
 use crate::scan;
 
-/// The config-switch registry: every fast-path/reference-path switch in
-/// the workspace, with the file declaring it. A new switch must be added
-/// here *and* exercised by a differential test under `tests/` — the
-/// [`RuleId::DoctrineUnregisteredSwitch`] rule flags any `pub enum` in
-/// `crates/core/src/config.rs` that is neither registered nor annotated.
+/// The module holding every fast path's reference oracle. Each of its
+/// top-level public items must be named by a differential test under
+/// `tests/` ([`RuleId::DoctrineSwitchDifferential`]).
+pub const REFERENCE_MODULE: &str = "crates/core/src/reference.rs";
+
+/// Switches declared outside [`REFERENCE_MODULE`] that must stay named by
+/// a differential test under `tests/`: `(path, declaring file)`, where the
+/// path's first segment is a `pub enum` of that file. A `pub enum` in
+/// `crates/core/src/config.rs` must be registered here or annotated
+/// ([`RuleId::DoctrineUnregisteredSwitch`]), so fast-vs-reference knobs
+/// cannot creep back into the production configuration.
 pub const SWITCH_REGISTRY: &[(&str, &str)] = &[
-    ("DistanceBackend", "crates/core/src/config.rs"),
-    ("SeuScoring", "crates/core/src/config.rs"),
-    ("WarmStart", "crates/core/src/config.rs"),
-    ("RefinementCaching", "crates/core/src/config.rs"),
-    ("PosteriorDedup", "crates/core/src/config.rs"),
+    // A strategy choice, not a reference arm: the IWS engine is pinned by
+    // `tests/iws_engine_differential.rs`.
     ("SelectionStrategy", "crates/core/src/config.rs"),
-    ("DenseBackend", "crates/sparse/src/dense.rs"),
+    // The scalar dense kernel, the oracle of the blocked one, stays a
+    // kernel argument of `nemo_sparse`.
+    ("DenseBackend::Scalar", "crates/sparse/src/dense.rs"),
 ];
 
 /// Published crates that must carry `#![warn(missing_docs)]` in their
@@ -77,10 +82,28 @@ fn enum_decl_line(lines: &[scan::Line], name: &str) -> Option<usize> {
         .position(|l| !l.in_test && l.code.contains("pub enum") && scan::has_ident(&l.code, name))
 }
 
+/// First segment of a registry path (`DenseBackend::Scalar` → `DenseBackend`).
+fn registry_enum(path: &str) -> &str {
+    path.split("::").next().unwrap_or(path)
+}
+
+/// Top-level public items of a classified source: `(name, 0-based line)`.
+fn public_items(lines: &[scan::Line]) -> Vec<(String, usize)> {
+    const KINDS: &[&str] = &["pub fn ", "pub struct ", "pub enum ", "pub trait ", "pub type "];
+    let item = |(i, l): (usize, &scan::Line)| {
+        let rest = KINDS.iter().find_map(|k| l.code.strip_prefix(k)).filter(|_| !l.in_test)?;
+        let name: String = rest.chars().take_while(|&c| scan::is_ident(c)).collect();
+        (!name.is_empty()).then_some((name, i))
+    };
+    lines.iter().enumerate().filter_map(item).collect()
+}
+
 fn check_switches(root: &Path, findings: &mut Vec<Finding>) -> io::Result<()> {
-    // Gather the differential-test corpus once: raw text of tests/*.rs.
+    // Gather the differential-test corpus once: the code (comments and
+    // literals blanked) of tests/*.rs — a mention in a comment names
+    // nothing the test runs.
     let tests_dir = root.join("tests");
-    let mut test_sources: Vec<String> = Vec::new();
+    let mut test_code: Vec<String> = Vec::new();
     if tests_dir.is_dir() {
         let mut entries: Vec<_> = fs::read_dir(&tests_dir)?
             .filter_map(|e| e.ok())
@@ -89,43 +112,60 @@ fn check_switches(root: &Path, findings: &mut Vec<Finding>) -> io::Result<()> {
             .collect();
         entries.sort();
         for p in entries {
-            test_sources.push(fs::read_to_string(p)?);
+            let source = fs::read_to_string(p)?;
+            test_code.extend(scan::classify(&source).into_iter().map(|l| l.code));
+        }
+    }
+    let named = |name: &str| test_code.iter().any(|code| scan::has_ident(code, name));
+
+    if let Some(source) = read_rel(root, REFERENCE_MODULE)? {
+        let lines = scan::classify(&source);
+        for (name, decl) in public_items(&lines) {
+            if !named(&name) && !justified(&lines, decl, RuleId::DoctrineSwitchDifferential) {
+                findings.push(Finding {
+                    rule: RuleId::DoctrineSwitchDifferential,
+                    file: REFERENCE_MODULE.to_string(),
+                    line: decl + 1,
+                    message: format!(
+                        "reference oracle `{name}` has no differential test: no file under \
+                         tests/ names it; every fast path must stay pinned to its oracle"
+                    ),
+                });
+            }
         }
     }
 
-    for &(name, decl_file) in SWITCH_REGISTRY {
+    for &(path, decl_file) in SWITCH_REGISTRY {
         let Some(source) = read_rel(root, decl_file)? else {
             findings.push(Finding {
                 rule: RuleId::DoctrineSwitchDifferential,
                 file: decl_file.to_string(),
                 line: 1,
-                message: format!("registered switch `{name}`: declaration file is missing"),
+                message: format!("registered switch `{path}`: declaration file is missing"),
             });
             continue;
         };
         let lines = scan::classify(&source);
-        let Some(decl) = enum_decl_line(&lines, name) else {
+        let Some(decl) = enum_decl_line(&lines, registry_enum(path)) else {
             findings.push(Finding {
                 rule: RuleId::DoctrineSwitchDifferential,
                 file: decl_file.to_string(),
                 line: 1,
                 message: format!(
-                    "registered switch `{name}` is no longer declared here; update the \
+                    "registered switch `{path}` is no longer declared here; update the \
                      nemo-lint SWITCH_REGISTRY alongside the enum"
                 ),
             });
             continue;
         };
-        let exercised = test_sources.iter().any(|s| scan::has_ident(s, name));
-        if !exercised && !justified(&lines, decl, RuleId::DoctrineSwitchDifferential) {
+        if !named(path) && !justified(&lines, decl, RuleId::DoctrineSwitchDifferential) {
             findings.push(Finding {
                 rule: RuleId::DoctrineSwitchDifferential,
                 file: decl_file.to_string(),
                 line: decl + 1,
                 message: format!(
-                    "config switch `{name}` has no differential test: no file under tests/ \
-                     mentions it; every fast path must be pinned bit-identical to its \
-                     reference path"
+                    "switch `{path}` has no differential test: no file under tests/ names \
+                     it; every fast path must be pinned to its reference path"
                 ),
             });
         }
@@ -146,7 +186,7 @@ fn check_switches(root: &Path, findings: &mut Vec<Finding>) -> io::Result<()> {
                 .nth(1)
                 .map(|rest| rest.trim_start().chars().take_while(|&c| scan::is_ident(c)).collect())
                 .unwrap_or_else(String::new);
-            if name.is_empty() || SWITCH_REGISTRY.iter().any(|&(n, _)| n == name) {
+            if name.is_empty() || SWITCH_REGISTRY.iter().any(|&(p, _)| registry_enum(p) == name) {
                 continue;
             }
             if !justified(&lines, i, RuleId::DoctrineUnregisteredSwitch) {

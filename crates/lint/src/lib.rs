@@ -13,9 +13,11 @@
 //! - **panic/**: `unwrap`/`expect`/`panic!`/unchecked indexing in
 //!   production code requires an adjacent `// invariant:` comment or a
 //!   `// lint: allow(<rule>): <reason>` annotation.
-//! - **doctrine/**: every config switch has a differential test, every
-//!   recorded bench section has a gated kernel, every published crate
-//!   warns on missing docs, and `Cargo.lock` stays hermetic.
+//! - **doctrine/**: every reference oracle (`nemo_core::reference`) is
+//!   named by a differential test, no fast-vs-reference knob sits in
+//!   `nemo_core::config` unregistered, every recorded bench section has a
+//!   gated kernel, every published crate warns on missing docs, and
+//!   `Cargo.lock` stays hermetic.
 //!
 //! Run as `cargo run -p nemo-lint -- --deny`, or call
 //! [`check_workspace`] / [`rules::check_source`] from tests.

@@ -39,11 +39,14 @@ pub enum RuleId {
     /// `get_unchecked` / `get_unchecked_mut` without an adjacent
     /// justification.
     PanicUncheckedIndex,
-    /// A config-switch enum with no differential test under `tests/`.
+    /// A reference oracle — a public item of `nemo_core::reference`, or a
+    /// registered switch such as `DenseBackend::Scalar` — that no
+    /// differential test under `tests/` names in code.
     DoctrineSwitchDifferential,
     /// A `pub enum` in `crates/core/src/config.rs` that is not in the
-    /// lint's switch registry (add it there plus a differential test, or
-    /// annotate why it is not a fast/reference switch).
+    /// lint's switch registry (register it with a differential test, or
+    /// annotate why it is not a fast/reference switch; reference arms
+    /// belong in `nemo_core::reference`, not in the configuration).
     DoctrineUnregisteredSwitch,
     /// A `BENCH_kernel.json` section with no matching bench kernel
     /// function.

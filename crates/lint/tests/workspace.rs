@@ -1,8 +1,9 @@
 //! Repo-wide gate plus seeded-regression self-tests: the workspace is
 //! clean today, and the lint actually catches the regressions it exists
-//! to prevent — a `HashMap` slipped into a selection kernel, a config
-//! switch whose differential test was deleted, a bench section whose
-//! enforce gate vanished, a registry dependency in `Cargo.lock`.
+//! to prevent — a `HashMap` slipped into a selection kernel, a reference
+//! oracle whose differential test was deleted, a fast-vs-reference knob
+//! added to the configuration, a bench section whose enforce gate
+//! vanished, a registry dependency in `Cargo.lock`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -39,8 +40,17 @@ fn seeded_hashmap_in_session_is_caught() {
     assert!(check_source("crates/core/src/session.rs", &real).is_empty());
 }
 
-/// A minimal workspace for the structural rules: registered switches,
-/// one bench section, a documented crate set, a hermetic lockfile.
+/// Test code naming every oracle of the mini workspace.
+const DIFFERENTIALS: &str = "fn differentials() {\n\
+    register_batch_naive();\n\
+    tune_p();\n\
+    let _ = (FullRescoreSeu, ReferencePipeline);\n\
+    let _ = (DenseBackend::Scalar, SelectionStrategy::A);\n\
+}\n";
+
+/// A minimal workspace for the structural rules: a reference module,
+/// registered switches, one bench section, a documented crate set, a
+/// hermetic lockfile.
 struct MiniWorkspace {
     root: PathBuf,
 }
@@ -53,19 +63,22 @@ impl MiniWorkspace {
         ws.write("Cargo.lock", "[[package]]\nname = \"nemo\"\nversion = \"0.1.0\"\n");
         ws.write(
             "crates/core/src/config.rs",
-            "/// Switch.\npub enum DistanceBackend { A, B }\n\
-             /// Switch.\npub enum SeuScoring { A, B }\n\
-             /// Switch.\npub enum WarmStart { A, B }\n\
-             /// Switch.\npub enum RefinementCaching { A, B }\n\
-             /// Switch.\npub enum PosteriorDedup { A, B }\n\
-             /// Switch.\npub enum SelectionStrategy { A, B }\n",
+            "/// Strategy.\npub enum SelectionStrategy { A, B }\n",
         );
-        ws.write("crates/sparse/src/dense.rs", "/// Switch.\npub enum DenseBackend { A, B }\n");
         ws.write(
-            "tests/differentials.rs",
-            "// Exercises DistanceBackend, DenseBackend, SeuScoring, WarmStart,\n\
-             // RefinementCaching, PosteriorDedup, and SelectionStrategy.\n",
+            "crates/core/src/reference.rs",
+            "//! Oracles.\n\
+             /// Oracle.\npub fn register_batch_naive() {}\n\
+             /// Oracle.\npub fn tune_p() {}\n\
+             /// Oracle.\npub struct FullRescoreSeu;\n\
+             /// Oracle.\npub struct ReferencePipeline;\n\
+             fn private_helper() {}\n",
         );
+        ws.write(
+            "crates/sparse/src/dense.rs",
+            "/// Kernel.\npub enum DenseBackend { Blocked, Scalar }\n",
+        );
+        ws.write("tests/differentials.rs", DIFFERENTIALS);
         ws.write("BENCH_kernel.json", "{\n  \"profile\": \"quick\",\n  \"seu_loop\": {}\n}\n");
         ws.write(
             "crates/bench/benches/kernel_microbench.rs",
@@ -110,17 +123,31 @@ fn mini_workspace_baseline_is_clean() {
 #[test]
 fn deleted_differential_test_is_caught() {
     let ws = MiniWorkspace::new("switch");
-    // The differential file no longer mentions PosteriorDedup.
+    // The differential file no longer runs ReferencePipeline; a comment
+    // mention names nothing the test runs.
     ws.write(
         "tests/differentials.rs",
-        "// Exercises DistanceBackend, DenseBackend, SeuScoring, WarmStart,\n\
-         // RefinementCaching, and SelectionStrategy.\n",
+        &DIFFERENTIALS
+            .replace("ReferencePipeline", "()")
+            .replace("fn differentials", "// ReferencePipeline is gone.\nfn differentials"),
     );
     let got = ws.check();
     assert_eq!(
         got,
-        vec![(RuleId::DoctrineSwitchDifferential, "crates/core/src/config.rs".to_string(), 10)],
-        "PosteriorDedup (declared at line 10) lost its differential test"
+        vec![(RuleId::DoctrineSwitchDifferential, "crates/core/src/reference.rs".to_string(), 9)],
+        "ReferencePipeline (declared at line 9) lost its differential test"
+    );
+}
+
+#[test]
+fn reference_oracles_outside_the_module_are_caught() {
+    // The scalar dense kernel is registered as a path: naming its enum
+    // through another variant does not count.
+    let ws = MiniWorkspace::new("scalar");
+    ws.write("tests/differentials.rs", &DIFFERENTIALS.replace("Scalar", "Blocked"));
+    assert_eq!(
+        ws.check(),
+        vec![(RuleId::DoctrineSwitchDifferential, "crates/sparse/src/dense.rs".to_string(), 2)]
     );
 }
 
@@ -131,36 +158,28 @@ fn selection_strategy_is_a_registered_switch() {
     // doctrine finding at the enum's declaration line.
     let ws = MiniWorkspace::new("selection");
     assert_eq!(ws.check(), vec![]);
-    ws.write(
-        "tests/differentials.rs",
-        "// Exercises DistanceBackend, DenseBackend, SeuScoring, WarmStart,\n\
-         // RefinementCaching, and PosteriorDedup.\n",
-    );
+    ws.write("tests/differentials.rs", &DIFFERENTIALS.replace("SelectionStrategy::A", "()"));
     let got = ws.check();
     assert_eq!(
         got,
-        vec![(RuleId::DoctrineSwitchDifferential, "crates/core/src/config.rs".to_string(), 12)],
-        "SelectionStrategy (declared at line 12) lost its differential test"
+        vec![(RuleId::DoctrineSwitchDifferential, "crates/core/src/config.rs".to_string(), 2)],
+        "SelectionStrategy (declared at line 2) lost its differential test"
     );
 }
 
 #[test]
 fn unregistered_switch_is_caught() {
+    // A fast-vs-reference knob added back to the configuration.
     let ws = MiniWorkspace::new("unregistered");
     ws.write(
         "crates/core/src/config.rs",
-        "/// Switch.\npub enum DistanceBackend { A, B }\n\
-         /// Switch.\npub enum SeuScoring { A, B }\n\
-         /// Switch.\npub enum WarmStart { A, B }\n\
-         /// Switch.\npub enum RefinementCaching { A, B }\n\
-         /// Switch.\npub enum PosteriorDedup { A, B }\n\
-         /// Switch.\npub enum SelectionStrategy { A, B }\n\
-         /// New switch nobody registered.\npub enum MysteryPath { Fast, Reference }\n",
+        "/// Strategy.\npub enum SelectionStrategy { A, B }\n\
+         /// New switch nobody registered.\npub enum SeuScoring { DirtySet, Full }\n",
     );
     let got = ws.check();
     assert_eq!(
         got,
-        vec![(RuleId::DoctrineUnregisteredSwitch, "crates/core/src/config.rs".to_string(), 14)]
+        vec![(RuleId::DoctrineUnregisteredSwitch, "crates/core/src/config.rs".to_string(), 4)]
     );
 }
 

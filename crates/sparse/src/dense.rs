@@ -1,8 +1,9 @@
 //! Dense row-major matrices.
 //!
 //! Used for the Visual Genome substitute's "embedding-like" features (the
-//! paper extracts ResNet features for images; see DESIGN.md §2) and for the
-//! small dense parameter blocks inside the models.
+//! paper extracts ResNet features for images; see docs/DESIGN.md,
+//! substitution 2) and for the small dense parameter blocks inside the
+//! models.
 
 /// Row-major dense `f32` matrix.
 #[derive(Debug, Clone)]
@@ -111,8 +112,9 @@ impl DenseMatrix {
 /// other: blocking reassociates the `f64` sum, so blocked and scalar
 /// distances may differ by up to ~1e-9 relative (see the documented
 /// tolerance in `tests/dense_kernel_differential.rs`). `Scalar` is kept as
-/// the reference leg for that differential, mirroring how
-/// `DistanceBackend::Naive` anchors the indexed sparse kernels.
+/// the reference leg for that differential, mirroring how the naive scan
+/// (`nemo_core::reference::register_batch_naive`) anchors the indexed
+/// sparse kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DenseBackend {
     /// Multi-accumulator chunked kernel (the production default).

@@ -224,6 +224,19 @@ impl DetRng {
     }
 }
 
+/// Deterministic ±1 hash for random feature projections: the signs of
+/// `example`'s `dim` projection coordinates, as `(coordinate, ±1.0)`
+/// pairs. Different `salt`s give independent projections.
+pub fn sign_hash(example: u32, dim: usize, salt: u64) -> impl Iterator<Item = (usize, f32)> {
+    let mut z = (example as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (0..dim).map(move |k| {
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z ^= z >> 27;
+        let sign = if z & 1 == 0 { 1.0 } else { -1.0 };
+        (k, sign)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,13 +20,17 @@
 //!
 //! A full-session check closes the loop: an interactive run (SEU
 //! selection + simulated user + contextualized learning) must make
-//! identical decisions under every `DistanceBackend × DenseBackend`
-//! combination, on a sparse text dataset and on a dense scene dataset.
+//! identical decisions on the production engine (indexed distances,
+//! `DenseBackend::Blocked`) and on the reference pipeline (naive
+//! distances, scalar kernels throughout), on a sparse text dataset and on
+//! a dense scene dataset.
 
-use nemo::core::config::{ContextualizerConfig, DistanceBackend, IdpConfig};
-use nemo::core::oracle::SimulatedUser;
+mod common;
+
+use common::{run_session, Trace};
+use nemo::core::config::IdpConfig;
 use nemo::core::pipeline::ContextualizedPipeline;
-use nemo::core::session::Session;
+use nemo::core::reference::ReferencePipeline;
 use nemo::core::seu::SeuSelector;
 use nemo::data::catalog::{toy_scene_2d, toy_text};
 use nemo::data::Dataset;
@@ -290,71 +294,32 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// 3. Full-session differential across every new switch combination.
+// 3. Full-session differential: production engine vs reference oracle.
 // ---------------------------------------------------------------------
 
-/// One full run: per-round selections, per-round tuned `p`, final scores.
-#[derive(PartialEq, Debug)]
-struct Trace {
-    selections: Vec<Option<usize>>,
-    chosen_ps: Vec<Option<f64>>,
-    test_score: f64,
-    valid_score: f64,
-}
-
-fn run(ds: &Dataset, backend: DistanceBackend, dense_backend: DenseBackend, seed: u64) -> Trace {
+fn run(ds: &Dataset, reference: bool, seed: u64) -> Trace {
     let config = IdpConfig { n_iterations: 8, eval_every: 4, seed, ..Default::default() };
-    let mut session = Session::new(ds, config);
     let mut selector = SeuSelector::new();
-    let mut user = SimulatedUser::default();
-    let mut pipeline = ContextualizedPipeline::new(ContextualizerConfig {
-        backend,
-        dense_backend,
-        ..Default::default()
-    });
-    let mut selections = Vec::new();
-    let mut chosen_ps = Vec::new();
-    for _ in 0..8 {
-        let rec = session.step(&mut selector, &mut user, &mut pipeline);
-        selections.push(rec.selected);
-        chosen_ps.push(session.outputs().chosen_p);
-    }
-    Trace {
-        selections,
-        chosen_ps,
-        test_score: session.test_score(),
-        valid_score: session.valid_score(),
+    if reference {
+        run_session(ds, config, &mut selector, &mut ReferencePipeline::default())
+    } else {
+        run_session(ds, config, &mut selector, &mut ContextualizedPipeline::default())
     }
 }
 
-/// Every `DistanceBackend × DenseBackend` combination drives the same
-/// interactive session: identical selections, identical tuned
+/// The production engine and the all-scalar reference pipeline drive
+/// the same interactive session: identical selections, identical tuned
 /// percentiles, identical final scores — on the sparse text dataset
 /// (where the dense backend is inert) and on the dense 2-D scene dataset
 /// (whose 2-dim rows sit entirely in the blocked kernel's scalar tail,
-/// so even Blocked is bitwise-equal there).
+/// so even `DenseBackend::Blocked` is bitwise-equal to
+/// `DenseBackend::Scalar` there).
 #[test]
 fn full_session_identical_across_switch_combos() {
     for ds in [toy_text(1), toy_scene_2d(1)] {
-        let reference = run(&ds, DistanceBackend::Indexed, DenseBackend::Blocked, 7);
-        assert!(
-            reference.chosen_ps.iter().any(Option::is_some),
-            "{}: contextualizer never tuned p",
-            ds.name
-        );
-        for backend in [DistanceBackend::Indexed, DistanceBackend::Naive] {
-            for dense_backend in [DenseBackend::Blocked, DenseBackend::Scalar] {
-                let trace = run(&ds, backend, dense_backend, 7);
-                assert_eq!(
-                    trace,
-                    reference,
-                    "{}: {:?} × {} diverged from the production combo",
-                    ds.name,
-                    backend,
-                    dense_backend.name()
-                );
-            }
-        }
+        let production = run(&ds, false, 7);
+        let reference = run(&ds, true, 7);
+        assert_eq!(reference, production, "{}: reference pipeline diverged", ds.name);
     }
 }
 
@@ -363,9 +328,9 @@ fn full_session_identical_across_switch_combos() {
 #[test]
 fn full_session_stable_under_thread_counts() {
     let ds = toy_text(2);
-    let reference = run(&ds, DistanceBackend::Indexed, DenseBackend::Blocked, 3);
+    let reference = run(&ds, false, 3);
     with_thread_counts(&[4], |_| {
-        let multi = run(&ds, DistanceBackend::Indexed, DenseBackend::Blocked, 3);
+        let multi = run(&ds, false, 3);
         assert_eq!(multi, reference, "NEMO_THREADS=4 session diverged from the ambient run");
     });
 }

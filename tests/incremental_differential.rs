@@ -1,11 +1,12 @@
 //! Differential property suite for the two incremental paths this repo's
 //! contextualized rounds run on:
 //!
-//! 1. **Dirty-set SEU scoring** (`SeuScoring::DirtySet`) — full-pool
+//! 1. **Dirty-set SEU scoring** (`SeuSelector::scores_cached`) — full-pool
 //!    utilities served from the selector's score cache, which applies
 //!    only the changed score-table rows' deltas to the affected
-//!    candidates' cached components, must match rebuilding the score
-//!    table and rescoring every example from the same aggregates: within
+//!    candidates' cached components, must match the full-rescore oracle
+//!    (`reference::FullRescoreSeu`), which rebuilds the score table and
+//!    rescores every example from the same aggregates: within
 //!    `1e-9` on delta rounds (the in-place sums drift by rounding steps,
 //!    re-anchored periodically) and **bit-identical** on exact rounds
 //!    (cache builds, rebuild fallbacks, dense-change bails). The
@@ -13,16 +14,17 @@
 //!    dense, with and without newly collected LFs) through a
 //!    [`SeuAggregates`] cache, exactly the traffic a learning loop
 //!    produces.
-//! 2. **Warm-started EM** (`WarmStart::Warm`) — `GenerativeModel::fit_em`
-//!    seeded from a previous fit must converge to the same fixed point as
-//!    a cold fit, within the EM tolerance (not bitwise — the iteration
-//!    paths differ), over random planted label matrices and random seed
-//!    sources (the same matrix's fit, and a perturbed matrix's fit).
+//! 2. **Warm-started EM** — `GenerativeModel::fit_em` seeded from a
+//!    previous fit must converge to the same fixed point as a cold fit,
+//!    within the EM tolerance (not bitwise — the iteration paths differ),
+//!    over random planted label matrices and random seed sources (the
+//!    same matrix's fit, and a perturbed matrix's fit).
 //!
 //! The full-session counterpart lives in `tests/incremental_paths.rs`.
 
 use nemo::core::config::IdpConfig;
 use nemo::core::idp::{ModelOutputs, SelectionView};
+use nemo::core::reference::FullRescoreSeu;
 use nemo::core::session::{Session, SeuAggregates};
 use nemo::core::seu::SeuSelector;
 use nemo::core::user_model::UserModelKind;
@@ -80,9 +82,9 @@ fn assert_scores_match(
         aggs: Some(cache),
     };
     let (um, ut) = (dirty_sel.user_model, dirty_sel.utility);
-    let cold_sel = SeuSelector::with(um, ut);
+    let cold_sel = FullRescoreSeu { user_model: um, utility: ut };
     let all: Vec<usize> = (0..ds.train.n()).collect();
-    let cold = cold_sel.scores(&view, cache.aggs(), &all);
+    let cold = cold_sel.scores(&view, &all);
     let cached = dirty_sel.scores_cached(&view).expect("view carries aggregates");
     for (x, (a, b)) in cached.iter().zip(&cold).enumerate() {
         if a.is_finite() || b.is_finite() {
@@ -185,7 +187,7 @@ fn localized_perturbations_reuse_cached_scores() {
             iteration: round,
             aggs: Some(&cache),
         };
-        let cold = SeuSelector::new().scores(&view, cache.aggs(), &(0..n).collect::<Vec<usize>>());
+        let cold = FullRescoreSeu::default().scores(&view, &(0..n).collect::<Vec<usize>>());
         let cached = sel.scores_cached(&view).expect("aggregates present");
         for (x, (a, b)) in cached.iter().zip(&cold).enumerate() {
             if a.is_finite() || b.is_finite() {
@@ -330,9 +332,9 @@ fn dirty_set_tracks_real_session_traffic() {
         for round in 0..10 {
             session.step(&mut selector, &mut user, &mut pipeline);
             let view = session.view();
-            let cache = view.aggs.expect("session views carry aggregates");
+            assert!(view.aggs.is_some(), "session views carry aggregates");
             let all: Vec<usize> = (0..ds.train.n()).collect();
-            let cold = SeuSelector::new().scores(&view, cache.aggs(), &all);
+            let cold = FullRescoreSeu::default().scores(&view, &all);
             let cached = checker.scores_cached(&view).expect("aggregates present");
             for (x, (a, b)) in cached.iter().zip(&cold).enumerate() {
                 if a.is_finite() || b.is_finite() {

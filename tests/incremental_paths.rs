@@ -1,196 +1,136 @@
-//! End-to-end differential test for the two incremental switches this PR
-//! adds, in the style of `tests/contextualizer_paths.rs`: a full
-//! interactive `Session` (SEU selection + simulated user + contextualized
-//! learning with the EM label model) must make *identical decisions* —
-//! same development example selected every round, same tuned refinement
-//! percentile — under
+//! End-to-end differential test for the interactive loop's incremental
+//! paths against their reference oracles (`nemo::core::reference`): a
+//! full interactive `Session` must select the same development example
+//! and tune the same percentile every round with
 //!
-//! - [`SeuScoring::DirtySet`] (cached dirty-set scoring) vs
-//!   [`SeuScoring::Full`] (per-round full-pool rescore),
-//! - [`WarmStart::Warm`] (EM chained across tune_p grid points) vs
-//!   [`WarmStart::Cold`] (every fit from scratch), and
-//! - [`RefinementCaching::Incremental`] (cross-round refined-column
-//!   cache) vs [`RefinementCaching::Rebuild`] (refilter every grid
-//!   point's columns each round) — this pair is bit-identical by
-//!   construction; `tests/refine_cache_differential.rs` holds the
-//!   fine-grained properties, and
-//! - [`PosteriorDedup::Class`] (one validation predict per score
-//!   equivalence class) vs [`PosteriorDedup::PerPoint`] (one per grid
-//!   point) — also bit-identical by construction;
-//!   `tests/matrix_cow_differential.rs` holds the fine-grained
-//!   properties.
+//! - [`SeuSelector`] (dirty-set scoring) or [`FullRescoreSeu`], and
+//! - [`ContextualizedPipeline`] (warm parallel fits, refined-column
+//!   cache, score-class dedup) or [`ReferencePipeline`] (cold sequential
+//!   fits, refilter everything, one predict per grid point, naive
+//!   registration).
 //!
-//! Scores are asserted close rather than bitwise equal: the dirty-set
-//! cache drifts by bounded rounding steps and warm EM reconverges within
-//! its tolerance. The warm/cold comparison runs on the Amazon quick
-//! workload, where the label matrices are well-conditioned enough that
-//! EM's fixed point is effectively unique, so cross-round seeding lands
-//! exactly where cold restarts land — on degenerate few-vote matrices
-//! (toy early rounds) EM is genuinely multimodal and warm seeding
-//! instead *tracks the incumbent basin* by design (see
-//! `Contextualizer::tune_p`), which is why this comparison does not run
-//! on the toy dataset. Everything here is deterministic: a divergence
-//! is a real regression, never flake.
+//! Under the seed-free default estimator (MeTaL, whose `fit_from` is
+//! `fit`) every pair is bit-identical, so each optimisation is isolated
+//! and sessions must agree bit for bit. With the EM label model warm fits
+//! reconverge within tolerance, so scores are asserted close; that
+//! comparison runs on Amazon quick, whose well-conditioned matrices give
+//! EM an effectively unique fixed point (on few-vote toy matrices warm
+//! seeding deliberately tracks the incumbent basin; see
+//! `Contextualizer::tune_p`). Everything is deterministic: a divergence is
+//! a real regression, never flake.
 
-use nemo::core::config::{
-    ContextualizerConfig, IdpConfig, LabelModelKind, PosteriorDedup, RefinementCaching, SeuScoring,
-    WarmStart,
-};
-use nemo::core::oracle::SimulatedUser;
-use nemo::core::pipeline::ContextualizedPipeline;
-use nemo::core::session::Session;
+mod common;
+
+use common::{run_session, Trace};
+use nemo::core::config::{IdpConfig, LabelModelKind};
+use nemo::core::idp::Selector;
+use nemo::core::pipeline::{ContextualizedPipeline, LearningPipeline};
+use nemo::core::reference::{FullRescoreSeu, ReferencePipeline};
 use nemo::core::seu::SeuSelector;
 use nemo::data::catalog::{build, toy_text, DatasetName, Profile};
 use nemo::data::Dataset;
 
-/// One full run: per-round selections, per-round tuned `p`, final scores.
-struct Trace {
-    selections: Vec<Option<usize>>,
-    chosen_ps: Vec<Option<f64>>,
-    test_score: f64,
-    valid_score: f64,
-}
-
+/// One 12-round session; `reference_seu` / `reference_pipeline` pick the
+/// oracle side of each differential.
 fn run(
     ds: &Dataset,
-    scoring: SeuScoring,
-    warm_start: WarmStart,
-    refinement: RefinementCaching,
-    posterior_dedup: PosteriorDedup,
+    label_model: LabelModelKind,
+    reference_seu: bool,
+    reference_pipeline: bool,
     seed: u64,
 ) -> Trace {
-    let config = IdpConfig {
-        n_iterations: 12,
-        eval_every: 4,
-        seed,
-        // The EM label model is the one warm-starting accelerates; the
-        // closed-form default (Metal) would make WarmStart a no-op.
-        label_model: LabelModelKind::Generative,
-        ..Default::default()
+    let config =
+        IdpConfig { n_iterations: 12, eval_every: 4, seed, label_model, ..Default::default() };
+    let mut selector: Box<dyn Selector> = if reference_seu {
+        Box::new(FullRescoreSeu::default())
+    } else {
+        Box::new(SeuSelector::new())
     };
-    let mut session = Session::new(ds, config);
-    let mut selector = SeuSelector::new().with_scoring(scoring);
-    let mut user = SimulatedUser::default();
-    let mut pipeline = ContextualizedPipeline::new(ContextualizerConfig {
-        warm_start,
-        refinement,
-        posterior_dedup,
-        ..Default::default()
-    });
-    let mut selections = Vec::new();
-    let mut chosen_ps = Vec::new();
-    for _ in 0..12 {
-        let rec = session.step(&mut selector, &mut user, &mut pipeline);
-        selections.push(rec.selected);
-        chosen_ps.push(session.outputs().chosen_p);
-    }
-    Trace {
-        selections,
-        chosen_ps,
-        test_score: session.test_score(),
-        valid_score: session.valid_score(),
-    }
+    let mut pipeline: Box<dyn LearningPipeline> = if reference_pipeline {
+        Box::new(ReferencePipeline::default())
+    } else {
+        Box::new(ContextualizedPipeline::default())
+    };
+    run_session(ds, config, &mut *selector, &mut *pipeline)
 }
 
 fn assert_identical_decisions(a: &Trace, b: &Trace, what: &str, seed: u64) {
     assert_eq!(a.selections, b.selections, "selected examples diverged ({what}, seed {seed})");
     assert_eq!(a.chosen_ps, b.chosen_ps, "tuned percentile diverged ({what}, seed {seed})");
+    let (a_test, b_test) = (f64::from_bits(a.test_score), f64::from_bits(b.test_score));
     assert!(
-        (a.test_score - b.test_score).abs() < 0.02,
-        "test score diverged ({what}, seed {seed}): {} vs {}",
-        a.test_score,
-        b.test_score
+        (a_test - b_test).abs() < 0.02,
+        "test score diverged ({what}, seed {seed}): {a_test} vs {b_test}"
     );
+    let (a_valid, b_valid) = (f64::from_bits(a.valid_score), f64::from_bits(b.valid_score));
     assert!(
-        (a.valid_score - b.valid_score).abs() < 0.02,
-        "valid score diverged ({what}, seed {seed}): {} vs {}",
-        a.valid_score,
-        b.valid_score
-    );
-    assert!(
-        a.chosen_ps.iter().any(Option::is_some),
-        "contextualizer never tuned p ({what}, seed {seed})"
+        (a_valid - b_valid).abs() < 0.02,
+        "valid score diverged ({what}, seed {seed}): {a_valid} vs {b_valid}"
     );
 }
 
+/// Each optimisation isolated under the seed-free default estimator,
+/// plus all of them together: bit-identical to the reference session.
 #[test]
 fn full_session_identical_dirty_set_vs_full_rescore() {
     let ds = toy_text(1);
+    let metal = LabelModelKind::Metal;
     for seed in [1u64, 7] {
-        let reference = run(
-            &ds,
-            SeuScoring::Full,
-            WarmStart::Cold,
-            RefinementCaching::Rebuild,
-            PosteriorDedup::PerPoint,
-            seed,
-        );
-        for (scoring, refinement, posterior_dedup, what) in [
-            (
-                SeuScoring::DirtySet,
-                RefinementCaching::Rebuild,
-                PosteriorDedup::PerPoint,
-                "dirty-set vs full",
-            ),
-            (
-                SeuScoring::Full,
-                RefinementCaching::Incremental,
-                PosteriorDedup::PerPoint,
-                "refine-cache vs rebuild",
-            ),
-            (
-                SeuScoring::Full,
-                RefinementCaching::Rebuild,
-                PosteriorDedup::Class,
-                "posterior dedup vs per-point",
-            ),
+        let reference = run(&ds, metal, true, true, seed);
+        for (seu, pipeline, what) in [
+            (false, true, "dirty-set vs full rescore"),
+            (true, false, "contextualized pipeline vs reference pipeline"),
+            (false, false, "all production paths"),
         ] {
-            let trace = run(&ds, scoring, WarmStart::Cold, refinement, posterior_dedup, seed);
-            assert_identical_decisions(&trace, &reference, what, seed);
+            let trace = run(&ds, metal, seu, pipeline, seed);
+            assert_eq!(trace, reference, "session diverged ({what}, seed {seed})");
         }
     }
 }
 
+/// Warm vs cold EM (with the bit-identical refinement cache and score
+/// dedup riding along), and every production path together, on the
+/// well-conditioned Amazon quick workload.
 #[test]
 fn full_session_identical_warm_vs_cold_and_combined() {
     let ds = build(DatasetName::Amazon, Profile::Quick, 3);
+    let em = LabelModelKind::Generative;
     for seed in [7u64, 13] {
-        let reference = run(
-            &ds,
-            SeuScoring::Full,
-            WarmStart::Cold,
-            RefinementCaching::Rebuild,
-            PosteriorDedup::PerPoint,
-            seed,
-        );
-        for (scoring, warm_start, refinement, posterior_dedup, what) in [
-            (
-                SeuScoring::Full,
-                WarmStart::Warm,
-                RefinementCaching::Rebuild,
-                PosteriorDedup::PerPoint,
-                "warm vs cold",
-            ),
-            (
-                SeuScoring::DirtySet,
-                WarmStart::Warm,
-                RefinementCaching::Incremental,
-                PosteriorDedup::Class,
-                "all production switches",
-            ),
-        ] {
-            let trace = run(&ds, scoring, warm_start, refinement, posterior_dedup, seed);
+        let reference = run(&ds, em, true, true, seed);
+        for (seu, pipeline, what) in
+            [(true, false, "warm vs cold"), (false, false, "all production paths")]
+        {
+            let trace = run(&ds, em, seu, pipeline, seed);
             assert_identical_decisions(&trace, &reference, what, seed);
         }
     }
 }
 
-/// The production defaults are exactly the switches this test toggles —
-/// make sure the default-constructed components run them.
+/// Under the default label model, whole production sessions on Amazon
+/// quick are bit-identical to the all-reference session.
+#[test]
+fn full_session_bit_identical_to_reference_oracles_on_amazon() {
+    let ds = build(DatasetName::Amazon, Profile::Quick, 3);
+    for seed in [7u64, 13] {
+        let reference = run(&ds, LabelModelKind::Metal, true, true, seed);
+        let production = run(&ds, LabelModelKind::Metal, false, false, seed);
+        assert_eq!(production, reference, "session diverged (seed {seed})");
+    }
+}
+
+/// Default-constructed components run the incremental paths: the
+/// selector serves from its dirty-set cache (sessions always carry
+/// aggregates), and the pipeline's contextualizer serves cached columns
+/// and keeps warm seeds for every grid point.
 #[test]
 fn production_defaults_are_the_incremental_paths() {
-    assert_eq!(SeuSelector::new().scoring, SeuScoring::DirtySet);
-    assert_eq!(ContextualizerConfig::default().warm_start, WarmStart::Warm);
-    assert_eq!(ContextualizerConfig::default().refinement, RefinementCaching::Incremental);
-    assert_eq!(ContextualizerConfig::default().posterior_dedup, PosteriorDedup::Class);
+    let ds = toy_text(1);
+    let config = IdpConfig { n_iterations: 6, eval_every: 3, seed: 2, ..Default::default() };
+    let (mut selector, mut pipeline) = (SeuSelector::new(), ContextualizedPipeline::default());
+    run_session(&ds, config, &mut selector, &mut pipeline);
+    let stats = selector.dirty_stats();
+    assert!(stats.rounds > 0 && stats.delta_rounds > 0, "dirty-set cache unused: {stats:?}");
+    let ctx = pipeline.contextualizer();
+    assert!(ctx.refine_cache_stats().hits > 0, "refined-column cache never hit");
+    assert_eq!(ctx.warm_seeds().len(), ctx.config.p_grid.len(), "warm seeds not kept");
 }

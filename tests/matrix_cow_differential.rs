@@ -1,6 +1,7 @@
 //! Differential property suite for the copy-on-write `Arc<LfColumn>`
 //! matrix storage and the equivalence-class posterior dedup in `tune_p`
-//! ([`PosteriorDedup::Class`] vs [`PosteriorDedup::PerPoint`]).
+//! (`Contextualizer::tune_p` vs the per-grid-point oracle
+//! `reference::tune_p_per_point`).
 //!
 //! The CoW claims are *representation* claims, so the properties compare
 //! observable behaviour across construction paths: a matrix assembled
@@ -15,13 +16,13 @@
 //! trajectory, while never predicting more often — and strictly less
 //! often once the grid contains duplicated percentiles.
 
-use nemo::core::config::{
-    ContextualizerConfig, IdpConfig, LabelModelKind, PosteriorDedup, RefinementCaching,
-};
+mod common;
+
+use common::run_session;
+use nemo::core::config::{ContextualizerConfig, IdpConfig};
 use nemo::core::contextualizer::Contextualizer;
-use nemo::core::oracle::SimulatedUser;
 use nemo::core::pipeline::ContextualizedPipeline;
-use nemo::core::session::Session;
+use nemo::core::reference::{self, ReferencePipeline};
 use nemo::core::seu::SeuSelector;
 use nemo::data::catalog::toy_text;
 use nemo::labelmodel::GenerativeModel;
@@ -162,7 +163,6 @@ proptest! {
         });
         let mut pp_ctx = Contextualizer::new(ContextualizerConfig {
             p_grid: p_grid.clone(),
-            posterior_dedup: PosteriorDedup::PerPoint,
             ..Default::default()
         });
         let model = GenerativeModel::default();
@@ -179,7 +179,7 @@ proptest! {
             class_ctx.sync(&lineage, &ds);
             pp_ctx.sync(&lineage, &ds);
             let a = class_ctx.tune_p(&matrix, &ds, &model, ds.prior());
-            let b = pp_ctx.tune_p(&matrix, &ds, &model, ds.prior());
+            let b = reference::tune_p_per_point(&mut pp_ctx, &matrix, &ds, &model, ds.prior());
             prop_assert_eq!(a.p, b.p, "round {}: tuned percentile", round);
             prop_assert_eq!(
                 a.valid_score.to_bits(),
@@ -212,48 +212,27 @@ proptest! {
 }
 
 /// Full-session differential: an interactive `Session` (SEU selection +
-/// simulated user + contextualized EM learning) must make identical
-/// decisions — same development example selected every round, same tuned
-/// percentile — under class-deduped and per-point validation scoring,
+/// simulated user + contextualized learning under the seed-free default
+/// estimator) must make identical decisions — same development example
+/// selected every round, same tuned percentile — with class-deduped
+/// scoring (production) and per-point scoring (the reference pipeline),
 /// and the production run's serve path must be all-shared (zero
 /// per-column vote memcpys, witnessed by the CoW counters).
 #[test]
 fn sessions_select_identically_under_both_dedup_paths() {
     let ds = toy_text(3);
     for seed in [5u64, 17] {
-        let mut traces = Vec::new();
-        let mut stats = Vec::new();
-        for dedup in [PosteriorDedup::Class, PosteriorDedup::PerPoint] {
-            let config = IdpConfig {
-                n_iterations: 10,
-                eval_every: 5,
-                seed,
-                label_model: LabelModelKind::Generative,
-                ..Default::default()
-            };
-            let mut session = Session::new(&ds, config);
-            let mut selector = SeuSelector::new();
-            let mut user = SimulatedUser::default();
-            let mut pipeline = ContextualizedPipeline::new(ContextualizerConfig {
-                posterior_dedup: dedup,
-                ..Default::default()
-            });
-            let mut trace = Vec::new();
-            for _ in 0..10 {
-                let rec = session.step(&mut selector, &mut user, &mut pipeline);
-                trace.push((rec.selected, session.outputs().chosen_p));
-            }
-            trace.push((None, Some(session.test_score())));
-            traces.push(trace);
-            stats.push((
-                pipeline.contextualizer().refine_cache_stats(),
-                pipeline.contextualizer().tune_predicts(),
-                session.lineage().len(),
-            ));
-        }
-        assert_eq!(traces[0], traces[1], "seed {seed}: decisions diverged");
-        let (class_stats, class_predicts, n_lfs) = stats[0];
-        let (_, pp_predicts, _) = stats[1];
+        let config = IdpConfig { n_iterations: 10, eval_every: 5, seed, ..Default::default() };
+        let mut production = ContextualizedPipeline::default();
+        let mut per_point = ReferencePipeline::default();
+        let class_trace =
+            run_session(&ds, config.clone(), &mut SeuSelector::new(), &mut production);
+        let pp_trace = run_session(&ds, config, &mut SeuSelector::new(), &mut per_point);
+        assert_eq!(class_trace, pp_trace, "seed {seed}: decisions diverged");
+        let n_lfs = production.contextualizer().n_registered();
+        let class_stats = production.contextualizer().refine_cache_stats();
+        let class_predicts = production.contextualizer().tune_predicts();
+        let pp_predicts = per_point.contextualizer().tune_predicts();
         assert!(
             class_predicts <= pp_predicts,
             "seed {seed}: class path predicted more often ({class_predicts} vs {pp_predicts})"
@@ -273,10 +252,11 @@ fn sessions_select_identically_under_both_dedup_paths() {
     }
 }
 
-/// The refinement caching switch and the dedup switch compose: all four
-/// combinations agree on a repeated tune over a fixed lineage, and under
-/// `Rebuild` no shared serves are recorded (the reference path builds
-/// owned matrices).
+/// The refinement cache, the warm start, and the score dedup compose:
+/// production and every reference tuner agree bitwise on a first tune
+/// over a fixed lineage (a first tune has no warm seeds, so warm and cold
+/// fits coincide even under EM), and the all-reference tuner records no
+/// shared serves (it builds owned matrices).
 #[test]
 fn dedup_and_refinement_switches_compose() {
     let ds = toy_text(1);
@@ -291,24 +271,25 @@ fn dedup_and_refinement_switches_compose() {
     }
     let model = GenerativeModel::default();
     let mut results = Vec::new();
-    for refinement in [RefinementCaching::Incremental, RefinementCaching::Rebuild] {
-        for dedup in [PosteriorDedup::Class, PosteriorDedup::PerPoint] {
-            let mut ctx = Contextualizer::new(ContextualizerConfig {
-                refinement,
-                posterior_dedup: dedup,
-                ..Default::default()
-            });
-            ctx.sync(&lineage, &ds);
-            let tuned = ctx.tune_p(&matrix, &ds, &model, ds.prior());
-            if refinement == RefinementCaching::Rebuild {
+    for tuner in ["production", "per-point", "cold", "reference"] {
+        let mut ctx = Contextualizer::new(ContextualizerConfig::default());
+        ctx.sync(&lineage, &ds);
+        let prior = ds.prior();
+        let tuned = match tuner {
+            "production" => ctx.tune_p(&matrix, &ds, &model, prior),
+            "per-point" => reference::tune_p_per_point(&mut ctx, &matrix, &ds, &model, prior),
+            "cold" => reference::tune_p_cold(&mut ctx, &matrix, &ds, &model, prior),
+            _ => {
+                let tuned = reference::tune_p(&mut ctx, &matrix, &ds, &model, prior);
                 assert_eq!(
                     ctx.refine_cache_stats().shared_serves,
                     0,
-                    "rebuild path must not record shared serves"
+                    "the rebuild oracle must not record shared serves"
                 );
+                tuned
             }
-            results.push((tuned.p, tuned.valid_score.to_bits(), tuned.train_matrix));
-        }
+        };
+        results.push((tuned.p, tuned.valid_score.to_bits(), tuned.train_matrix));
     }
     for pair in results.windows(2) {
         assert_eq!(pair[0].0, pair[1].0, "tuned percentile diverged across switches");

@@ -1,5 +1,7 @@
 //! Differential property suite for the cross-round refined-column cache
-//! ([`RefinementCaching::Incremental`] vs [`RefinementCaching::Rebuild`]).
+//! (`Contextualizer::refined_grid_matrices`) against its oracle, which
+//! refilters every column every round (`reference::refined_grid_matrices`,
+//! and `reference::tune_p` for whole tuning rounds).
 //!
 //! The cache serves each `(grid point, LF)` pair's filtered train/valid
 //! columns keyed by the radius bits and the raw column's construction
@@ -11,21 +13,25 @@
 //! dedup fit counts identical to refiltering everything from scratch.
 //! Non-vacuity is asserted through the cache counters: warm rounds must
 //! actually hit, and a grown lineage must refilter only the new LFs.
+//! Tuning uses the seed-free MeTaL estimator, so the oracle's cold fits
+//! and per-point scoring cannot differ from production's.
 //!
 //! The suite also pins the empty-validation-split tie-break of `tune_p`:
 //! with no validation signal the *largest* percentile in the grid wins
 //! explicitly (widest coverage), not whatever the grid order would
 //! accidentally select (the pre-fix `>=` scan kept the last grid point).
 
-use nemo::core::config::{ContextualizerConfig, IdpConfig, LabelModelKind, RefinementCaching};
+mod common;
+
+use common::run_session;
+use nemo::core::config::{ContextualizerConfig, IdpConfig};
 use nemo::core::contextualizer::Contextualizer;
-use nemo::core::oracle::SimulatedUser;
 use nemo::core::pipeline::ContextualizedPipeline;
-use nemo::core::session::Session;
+use nemo::core::reference::{self, ReferencePipeline};
 use nemo::core::seu::SeuSelector;
 use nemo::data::catalog::toy_text;
 use nemo::data::{Dataset, Features, Split};
-use nemo::labelmodel::GenerativeModel;
+use nemo::labelmodel::{GenerativeModel, TripletModel};
 use nemo::lf::{Label, LabelMatrix, LfColumn, Lineage, Metric, PrimitiveCorpus, PrimitiveLf};
 use nemo::sparse::{CsrMatrix, DetRng, SparseVec};
 use proptest::prelude::*;
@@ -51,11 +57,8 @@ proptest! {
         let ds = toy_text(2);
         let mut rng = DetRng::new(seed);
         let mut incr = Contextualizer::new(ContextualizerConfig::default());
-        let mut rebuild = Contextualizer::new(ContextualizerConfig {
-            refinement: RefinementCaching::Rebuild,
-            ..Default::default()
-        });
-        let model = GenerativeModel::default();
+        let mut rebuild = Contextualizer::new(ContextualizerConfig::default());
+        let model = TripletModel::default();
         let mut lineage = Lineage::new();
         let mut matrix = LabelMatrix::new(ds.train.n());
         for round in 0..rounds {
@@ -83,14 +86,14 @@ proptest! {
             rebuild.sync(&lineage, &ds);
 
             let (ti, vi) = incr.refined_grid_matrices(&matrix, ds.valid.n());
-            let (tr, vr) = rebuild.refined_grid_matrices(&matrix, ds.valid.n());
+            let (tr, vr) = reference::refined_grid_matrices(&mut rebuild, &matrix, ds.valid.n());
             for (k, ((a, b), (c, d))) in ti.iter().zip(&tr).zip(vi.iter().zip(&vr)).enumerate() {
                 assert_matrices_bit_identical(a, b, &format!("round {round} train k={k}"));
                 assert_matrices_bit_identical(c, d, &format!("round {round} valid k={k}"));
             }
 
             let tuned_i = incr.tune_p(&matrix, &ds, &model, ds.prior());
-            let tuned_r = rebuild.tune_p(&matrix, &ds, &model, ds.prior());
+            let tuned_r = reference::tune_p(&mut rebuild, &matrix, &ds, &model, ds.prior());
             prop_assert_eq!(tuned_i.p, tuned_r.p, "round {}: tuned percentile", round);
             prop_assert_eq!(
                 tuned_i.valid_score.to_bits(),
@@ -154,44 +157,25 @@ fn raw_matrix_token_miss_refilters_without_staleness() {
 }
 
 /// Full-session differential: an interactive `Session` (SEU selection +
-/// simulated user + contextualized EM learning) must make identical
-/// decisions — same development example selected every round, same tuned
-/// percentile — under `Incremental` and `Rebuild`, and the incremental
-/// run must refilter each `(grid point, LF)` slot exactly once (lineage
-/// is append-only and the session's raw matrix is token-stable, so every
+/// simulated user + contextualized learning under the seed-free default
+/// estimator) must make identical decisions — same development example
+/// selected every round, same tuned percentile — with the production
+/// pipeline and the reference pipeline, and the production run must
+/// refilter each `(grid point, LF)` slot exactly once (lineage is
+/// append-only and the session's raw matrix is token-stable, so every
 /// later round serves cached columns).
 #[test]
 fn sessions_select_identically_under_both_refinement_paths() {
     let ds = toy_text(3);
     for seed in [2u64, 11] {
-        let mut traces = Vec::new();
-        let mut stats = Vec::new();
-        for refinement in [RefinementCaching::Incremental, RefinementCaching::Rebuild] {
-            let config = IdpConfig {
-                n_iterations: 10,
-                eval_every: 5,
-                seed,
-                label_model: LabelModelKind::Generative,
-                ..Default::default()
-            };
-            let mut session = Session::new(&ds, config);
-            let mut selector = SeuSelector::new();
-            let mut user = SimulatedUser::default();
-            let mut pipeline = ContextualizedPipeline::new(ContextualizerConfig {
-                refinement,
-                ..Default::default()
-            });
-            let mut trace = Vec::new();
-            for _ in 0..10 {
-                let rec = session.step(&mut selector, &mut user, &mut pipeline);
-                trace.push((rec.selected, session.outputs().chosen_p));
-            }
-            trace.push((None, Some(session.test_score())));
-            traces.push(trace);
-            stats.push((pipeline.contextualizer().refine_cache_stats(), session.lineage().len()));
-        }
-        assert_eq!(traces[0], traces[1], "seed {seed}: decisions diverged");
-        let (incr_stats, n_lfs) = stats[0];
+        let config = IdpConfig { n_iterations: 10, eval_every: 5, seed, ..Default::default() };
+        let mut production = ContextualizedPipeline::default();
+        let incr_trace = run_session(&ds, config.clone(), &mut SeuSelector::new(), &mut production);
+        let rebuild_trace =
+            run_session(&ds, config, &mut SeuSelector::new(), &mut ReferencePipeline::default());
+        assert_eq!(incr_trace, rebuild_trace, "seed {seed}: decisions diverged");
+        let n_lfs = production.contextualizer().n_registered();
+        let incr_stats = production.contextualizer().refine_cache_stats();
         let grid = ContextualizerConfig::default().p_grid.len();
         assert_eq!(
             incr_stats.refilters,
@@ -246,15 +230,15 @@ fn dataset_with_empty_valid(p_grid: Vec<f64>) -> (Dataset, ContextualizerConfig)
 /// validation split every grid point scores a vacuous 0.0, and the
 /// pre-fix `>=` scan silently kept whatever percentile sat *last* in the
 /// grid. The fixed behaviour selects the *largest* percentile (widest
-/// coverage) explicitly, under both refinement paths, with the vacuous
-/// score reported as exactly 0.0.
+/// coverage) explicitly, in production and in the reference tuner, with
+/// the vacuous score reported as exactly 0.0.
 #[test]
 fn empty_validation_split_selects_widest_coverage_explicitly() {
     // Deliberately unsorted grid with the largest percentile in the
     // middle: the pre-fix code returns 25.0 (last), the fix 100.0.
     let (ds, config) = dataset_with_empty_valid(vec![50.0, 100.0, 25.0]);
-    for refinement in [RefinementCaching::Incremental, RefinementCaching::Rebuild] {
-        let mut ctx = Contextualizer::new(ContextualizerConfig { refinement, ..config.clone() });
+    for path in ["production", "reference"] {
+        let mut ctx = Contextualizer::new(config.clone());
         let mut lineage = Lineage::new();
         for (z, dev) in [(0u32, 0u32), (1, 2), (2, 3)] {
             lineage.record(PrimitiveLf::new(z, Label::Pos), dev, 0);
@@ -262,14 +246,18 @@ fn empty_validation_split_selects_widest_coverage_explicitly() {
         ctx.sync(&lineage, &ds);
         let lfs: Vec<PrimitiveLf> = lineage.tracked().iter().map(|r| r.lf).collect();
         let matrix = LabelMatrix::from_lfs(&lfs, &ds.train.corpus);
-        let tuned = ctx.tune_p(&matrix, &ds, &GenerativeModel::default(), ds.prior());
-        assert_eq!(tuned.p, 100.0, "{refinement:?}: widest coverage must win");
-        assert_eq!(tuned.valid_score, 0.0, "{refinement:?}: score is vacuously zero");
+        let model = GenerativeModel::default();
+        let tuned = match path {
+            "production" => ctx.tune_p(&matrix, &ds, &model, ds.prior()),
+            _ => reference::tune_p(&mut ctx, &matrix, &ds, &model, ds.prior()),
+        };
+        assert_eq!(tuned.p, 100.0, "{path}: widest coverage must win");
+        assert_eq!(tuned.valid_score, 0.0, "{path}: score is vacuously zero");
         // p = 100 keeps every raw vote: refinement must be the identity.
         assert_matrices_bit_identical(
             &tuned.train_matrix,
             &matrix,
-            &format!("{refinement:?} tuned matrix"),
+            &format!("{path} tuned matrix"),
         );
     }
 }

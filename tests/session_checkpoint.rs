@@ -7,9 +7,10 @@ use nemo::core::oracle::{SimulatedUser, User};
 use nemo::core::{IdpConfig, NemoSystem, RestoreError};
 use nemo::data::catalog::{self, toy_text};
 use nemo::data::{Dataset, DatasetName, Profile};
-use nemo::persist::{load_session, save_session, session_to_bytes};
+use nemo::persist::{load_session, save_session, session_from_bytes, session_to_bytes};
 use nemo::sparse::DetRng;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Drive `rounds` interactive iterations through the public API, returning
 /// the selected example per round. The user's randomness comes from the
@@ -71,7 +72,11 @@ fn assert_resume_identical(ds: &Dataset, config: IdpConfig, total: usize, cut: u
 
     // Checkpoint through an actual file (crash-safe write + full load
     // path), then drop the live session — the restored one stands alone.
-    let dir = std::env::temp_dir().join(format!("nemo-ckpt-{}", std::process::id()));
+    // One directory per call: tests run concurrently in one process, and
+    // each removes its directory when done.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("nemo-ckpt-{}-{call}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("resume-{cut}.ckpt"));
     save_session(&path, &interrupted.checkpoint()).unwrap();
@@ -153,5 +158,26 @@ fn checkpoint_restores_only_against_a_matching_dataset() {
     assert!(matches!(
         NemoSystem::restore(&other, &ckpt),
         Err(RestoreError::LengthMismatch { .. } | RestoreError::LineageOutOfDomain { .. })
+    ));
+}
+
+/// A CRC-valid checkpoint whose config carries `eval_every = 0` decodes
+/// cleanly, but a restored loop would panic on `(t + 1) % eval_every`;
+/// restore must reject it with a typed error instead.
+#[test]
+fn zero_eval_cadence_checkpoint_is_rejected_on_restore() {
+    let ds = toy_text(6);
+    let config = IdpConfig { n_iterations: 2, eval_every: 2, seed: 4, ..Default::default() };
+    let mut nemo = NemoSystem::new(&ds, config);
+    let mut rng = DetRng::new(9);
+    drive(&mut nemo, &ds, &SimulatedUser::default(), &mut rng, 2);
+    let mut ckpt = nemo.checkpoint();
+    ckpt.config.eval_every = 0;
+
+    let decoded = session_from_bytes(&session_to_bytes(&ckpt)).expect("CRC-valid encoding");
+    assert_eq!(decoded.config.eval_every, 0);
+    assert!(matches!(
+        NemoSystem::restore(&ds, &decoded),
+        Err(RestoreError::ValueOutOfRange { field: "eval_every" })
     ));
 }
