@@ -36,9 +36,7 @@ use nemo_persist::{
     artifact_to_bytes, load_artifact, save_artifact, ArtifactBundle, EncodedCheckpointStore,
 };
 use nemo_sparse::distance::MIN_SHARDED_ROWS;
-use nemo_sparse::{
-    CscIndex, CsrMatrix, DenseBackend, DenseMatrix, DetRng, Distance, DistanceScratch, SparseVec,
-};
+use nemo_sparse::{CscIndex, CsrMatrix, DenseMatrix, DetRng, Distance, DistanceScratch, SparseVec};
 use nemo_text::TfIdf;
 
 /// One timed kernel: median-of-means style summary over repeated calls.
@@ -140,20 +138,27 @@ fn kernel_benches(ds: &Dataset, results: &mut Vec<BenchResult>) {
     let norms = ds.train.features.sq_norms().to_vec();
     let mut out = Vec::new();
     let mut pivot = 0usize;
+    let csr = ds.train.features.csr();
     results.push(bench("distance_point_to_all_cosine", || {
         pivot = (pivot + 1) % ds.train.n();
-        Distance::Cosine.sparse_point_to_all_into(ds.train.features.csr(), pivot, &norms, &mut out);
+        Distance::Cosine.sparse_row_to_all_naive_into(
+            &csr.row(pivot),
+            norms[pivot],
+            csr,
+            &norms,
+            &mut out,
+        );
         out[pivot]
     }));
 
-    let csc = CscIndex::from_csr(ds.train.features.csr());
+    let csc = CscIndex::from_csr(csr);
     let mut scratch = DistanceScratch::new();
     results.push(bench("distance_point_to_all_indexed", || {
         pivot = (pivot + 1) % ds.train.n();
-        Distance::Cosine.sparse_point_to_all_indexed_into(
-            ds.train.features.csr(),
+        Distance::Cosine.sparse_row_to_all_indexed_into(
+            &csr.row(pivot),
+            norms[pivot],
             &csc,
-            pivot,
             &norms,
             &mut scratch,
             &mut out,
@@ -982,22 +987,8 @@ fn dense_blocked_bench(results: &mut Vec<BenchResult>) -> String {
     // Agreement check across every pivot used by the timing loops.
     let mut check = Vec::new();
     for p in [0usize, rows / 2, rows - 1] {
-        Distance::Cosine.dense_row_to_all_cached_into_with(
-            DenseBackend::Scalar,
-            m.row(p),
-            norms[p],
-            &m,
-            &norms,
-            &mut out,
-        );
-        Distance::Cosine.dense_row_to_all_cached_into_with(
-            DenseBackend::Blocked,
-            m.row(p),
-            norms[p],
-            &m,
-            &norms,
-            &mut check,
-        );
+        Distance::Cosine.dense_row_to_all_naive_into(m.row(p), norms[p], &m, &norms, &mut out);
+        Distance::Cosine.dense_row_to_all_into(m.row(p), norms[p], &m, &norms, &mut check);
         for (r, (&a, &b)) in out.iter().zip(&check).enumerate() {
             assert!(
                 (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
@@ -1009,8 +1000,7 @@ fn dense_blocked_bench(results: &mut Vec<BenchResult>) -> String {
     let mut pivot = 0usize;
     let scalar = bench("dense_point_to_all_scalar", || {
         pivot = (pivot + 1) % rows;
-        Distance::Cosine.dense_row_to_all_cached_into_with(
-            DenseBackend::Scalar,
+        Distance::Cosine.dense_row_to_all_naive_into(
             m.row(pivot),
             norms[pivot],
             &m,
@@ -1021,14 +1011,7 @@ fn dense_blocked_bench(results: &mut Vec<BenchResult>) -> String {
     });
     let blocked = bench("dense_point_to_all_blocked", || {
         pivot = (pivot + 1) % rows;
-        Distance::Cosine.dense_row_to_all_cached_into_with(
-            DenseBackend::Blocked,
-            m.row(pivot),
-            norms[pivot],
-            &m,
-            &norms,
-            &mut out,
-        );
+        Distance::Cosine.dense_row_to_all_into(m.row(pivot), norms[pivot], &m, &norms, &mut out);
         out[pivot]
     });
 
@@ -1074,24 +1057,15 @@ fn dense_sharded_bench(results: &mut Vec<BenchResult>) -> String {
     assert!(rows >= MIN_SHARDED_ROWS, "pool must engage the shard grid");
     let m = synthetic_dense(rows, dims, 43);
     let norms = m.row_sq_norms();
-    let be = DenseBackend::Blocked;
 
     // Bitwise identity: serial vs sharded under 1 and 4 workers.
     let mut serial = Vec::new();
     let mut sharded = Vec::new();
     for p in [0usize, rows / 2, rows - 1] {
-        Distance::Cosine.dense_row_to_all_cached_into_with(
-            be,
-            m.row(p),
-            norms[p],
-            &m,
-            &norms,
-            &mut serial,
-        );
+        Distance::Cosine.dense_row_to_all_into(m.row(p), norms[p], &m, &norms, &mut serial);
         for t in [1usize, 4] {
             with_threads(t, || {
                 Distance::Cosine.dense_row_to_all_sharded_into(
-                    be,
                     m.row(p),
                     norms[p],
                     &m,
@@ -1113,21 +1087,13 @@ fn dense_sharded_bench(results: &mut Vec<BenchResult>) -> String {
     let mut pivot = 0usize;
     let unsharded = bench("dense_point_to_all_unsharded", || {
         pivot = (pivot + 1) % rows;
-        Distance::Cosine.dense_row_to_all_cached_into_with(
-            be,
-            m.row(pivot),
-            norms[pivot],
-            &m,
-            &norms,
-            &mut out,
-        );
+        Distance::Cosine.dense_row_to_all_into(m.row(pivot), norms[pivot], &m, &norms, &mut out);
         out[pivot]
     });
     let sharded_t1 = with_threads(1, || {
         bench("dense_point_to_all_sharded_t1", || {
             pivot = (pivot + 1) % rows;
             Distance::Cosine.dense_row_to_all_sharded_into(
-                be,
                 m.row(pivot),
                 norms[pivot],
                 &m,
@@ -1141,7 +1107,6 @@ fn dense_sharded_bench(results: &mut Vec<BenchResult>) -> String {
         bench("dense_point_to_all_sharded_t4", || {
             pivot = (pivot + 1) % rows;
             Distance::Cosine.dense_row_to_all_sharded_into(
-                be,
                 m.row(pivot),
                 norms[pivot],
                 &m,
@@ -1212,20 +1177,20 @@ fn indexed_sharded_bench(results: &mut Vec<BenchResult>) -> String {
     let mut serial = Vec::new();
     let mut sharded = Vec::new();
     for p in [0usize, rows / 2, rows - 1] {
-        Distance::Cosine.sparse_point_to_all_indexed_into(
-            &m,
+        Distance::Cosine.sparse_row_to_all_indexed_into(
+            &m.row(p),
+            norms[p],
             &index,
-            p,
             &norms,
             &mut scratch,
             &mut serial,
         );
         for t in [1usize, 4] {
             with_threads(t, || {
-                Distance::Cosine.sparse_point_to_all_indexed_sharded_into(
-                    &m,
+                Distance::Cosine.sparse_row_to_all_indexed_sharded_into(
+                    &m.row(p),
+                    norms[p],
                     &index,
-                    p,
                     &norms,
                     &mut scratch,
                     &mut sharded,
@@ -1245,10 +1210,10 @@ fn indexed_sharded_bench(results: &mut Vec<BenchResult>) -> String {
     let mut pivot = 0usize;
     let unsharded = bench("indexed_point_to_all_unsharded", || {
         pivot = (pivot + 1) % rows;
-        Distance::Cosine.sparse_point_to_all_indexed_into(
-            &m,
+        Distance::Cosine.sparse_row_to_all_indexed_into(
+            &m.row(pivot),
+            norms[pivot],
             &index,
-            pivot,
             &norms,
             &mut scratch,
             &mut out,
@@ -1258,10 +1223,10 @@ fn indexed_sharded_bench(results: &mut Vec<BenchResult>) -> String {
     let sharded_t1 = with_threads(1, || {
         bench("indexed_point_to_all_sharded_t1", || {
             pivot = (pivot + 1) % rows;
-            Distance::Cosine.sparse_point_to_all_indexed_sharded_into(
-                &m,
+            Distance::Cosine.sparse_row_to_all_indexed_sharded_into(
+                &m.row(pivot),
+                norms[pivot],
                 &index,
-                pivot,
                 &norms,
                 &mut scratch,
                 &mut out,
@@ -1272,10 +1237,10 @@ fn indexed_sharded_bench(results: &mut Vec<BenchResult>) -> String {
     let sharded_t4 = with_threads(4, || {
         bench("indexed_point_to_all_sharded_t4", || {
             pivot = (pivot + 1) % rows;
-            Distance::Cosine.sparse_point_to_all_indexed_sharded_into(
-                &m,
+            Distance::Cosine.sparse_row_to_all_indexed_sharded_into(
+                &m.row(pivot),
+                norms[pivot],
                 &index,
-                pivot,
                 &norms,
                 &mut scratch,
                 &mut out,

@@ -148,7 +148,6 @@ impl IdpConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nemo_sparse::DenseBackend;
 
     #[test]
     fn label_model_kinds_build() {
@@ -184,12 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_names_stable() {
-        assert_eq!(DenseBackend::Blocked.name(), "blocked");
-        assert_eq!(DenseBackend::Scalar.name(), "scalar");
-    }
-
-    #[test]
     fn incremental_paths_are_the_defaults() {
         // Exhaustive destructure: the contextualizer is configured by its
         // distance and percentile grid alone, so no fast-vs-reference
@@ -197,7 +190,6 @@ mod tests {
         // reference arms live in `crate::reference`.
         let ContextualizerConfig { distance, p_grid } = ContextualizerConfig::default();
         assert_eq!((distance, p_grid.len()), (Distance::Cosine, 4));
-        assert_eq!(DenseBackend::default(), DenseBackend::Blocked);
     }
 
     #[test]

@@ -16,11 +16,10 @@
 //! Registration is **batched**: all of a round's new LFs go through
 //! [`Contextualizer::register_batch`], which computes every train/valid
 //! distance vector in one pass over the feature matrices' inverted-index
-//! engine ([`nemo_data::Features::point_to_all_many_with`], blocked dense
-//! kernel), partitioned over the pivots in parallel. The per-LF naive scan
-//! it replaced is the test oracle
-//! [`crate::reference::register_batch_naive`]: bit-identical on sparse
-//! features, within `1e-9` relative on dense ones.
+//! engine ([`nemo_data::Features::distances`], blocked dense kernel),
+//! partitioned over the pivots in parallel. The per-LF naive scan it
+//! replaced is the test oracle [`crate::reference::register_batch_naive`]:
+//! bit-identical on sparse features, within `1e-9` relative on dense ones.
 //!
 //! Every optimisation here has exactly one production path; the
 //! pre-optimisation arms live in [`mod@crate::reference`] as test oracles.
@@ -31,7 +30,6 @@ use nemo_labelmodel::{FittedLabelModel, LabelModel};
 use nemo_lf::{LabelMatrix, LfColumn, Lineage, TrackedLf};
 use nemo_sparse::parallel::par_map_min;
 use nemo_sparse::stats::percentile_of_sorted;
-use nemo_sparse::DenseBackend;
 // lint: allow(determinism/hash-collections): dedup maps below are
 // lookup-only (entry/or_insert); their iteration order is never observed.
 use std::collections::HashMap;
@@ -204,13 +202,8 @@ impl Contextualizer {
         let dist = self.config.distance;
         let pivots: Vec<usize> = recs.iter().map(|r| r.dev_example as usize).collect();
         let train = &ds.train.features;
-        let train_ds = train.point_to_all_many_with(dist, DenseBackend::Blocked, &pivots);
-        let valid_ds = train.point_to_other_many_with(
-            dist,
-            DenseBackend::Blocked,
-            &pivots,
-            &ds.valid.features,
-        );
+        let train_ds = train.distances(dist, &pivots, train);
+        let valid_ds = train.distances(dist, &pivots, &ds.valid.features);
         self.push_registered(recs, ds, train_ds, valid_ds);
     }
 

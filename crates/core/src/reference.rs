@@ -20,26 +20,57 @@ use crate::pipeline::{end_model_outputs, LearningPipeline, UNIFORM_BALANCE};
 use crate::seu::{select_by, SeuSelector};
 use crate::user_model::UserModelKind;
 use crate::utility::UtilityKind;
-use nemo_data::Dataset;
+use nemo_data::{Dataset, Features};
 use nemo_labelmodel::{FittedLabelModel, LabelModel};
 use nemo_lf::{LabelMatrix, Lineage, TrackedLf};
-use nemo_sparse::DetRng;
+use nemo_sparse::{DetRng, Distance};
+
+/// Distances from each of `pivots` (examples of `src`) to every example of
+/// `target`, one pivot at a time through the naive kernels: the row-major
+/// sparse scan, or the scalar dense reduction when both splits are
+/// dense-backed — the oracle for [`Features::distances`]. Bit-identical
+/// on sparse features, within `1e-9` relative on dense ones (bitwise on
+/// rows shorter than `nemo_sparse::dense::DOT_LANES`).
+pub fn distances(
+    dist: Distance,
+    src: &Features,
+    pivots: &[usize],
+    target: &Features,
+) -> Vec<Vec<f64>> {
+    let (src_sq, target_sq) = (src.sq_norms(), target.sq_norms());
+    pivots
+        .iter()
+        .map(|&p| {
+            let mut out = Vec::new();
+            match (src.dense(), target.dense()) {
+                (Some(s), Some(t)) => {
+                    dist.dense_row_to_all_naive_into(s.row(p), src_sq[p], t, target_sq, &mut out)
+                }
+                _ => dist.sparse_row_to_all_naive_into(
+                    &src.csr().row(p),
+                    src_sq[p],
+                    target.csr(),
+                    target_sq,
+                    &mut out,
+                ),
+            }
+            out
+        })
+        .collect()
+}
 
 /// Register LFs one row-major scan per LF and split (the pre-index
-/// engine, scalar dense kernels throughout) — the oracle for
-/// [`Contextualizer::register_batch`].
+/// engine, scalar dense kernels throughout, through [`distances`]) — the
+/// oracle for [`Contextualizer::register_batch`].
 pub fn register_batch_naive(ctx: &mut Contextualizer, recs: &[TrackedLf], ds: &Dataset) {
     if recs.is_empty() {
         return;
     }
     let dist = ctx.config.distance;
     let train = &ds.train.features;
-    let train_ds =
-        recs.iter().map(|r| train.point_to_all_naive(dist, r.dev_example as usize)).collect();
-    let valid_ds = recs
-        .iter()
-        .map(|r| train.point_to_other_naive(dist, r.dev_example as usize, &ds.valid.features))
-        .collect();
+    let pivots: Vec<usize> = recs.iter().map(|r| r.dev_example as usize).collect();
+    let train_ds = distances(dist, train, &pivots, train);
+    let valid_ds = distances(dist, train, &pivots, &ds.valid.features);
     ctx.push_registered(recs, ds, train_ds, valid_ds);
 }
 

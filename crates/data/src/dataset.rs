@@ -9,20 +9,18 @@
 //! primitive domain `Z`.
 
 use nemo_lf::{Label, Metric, PrimitiveCorpus};
-use nemo_sparse::{
-    CscIndex, CsrMatrix, DenseBackend, DenseMatrix, Distance, DistanceScratch, SparseVec,
-};
+use nemo_sparse::{CscIndex, CsrMatrix, DenseMatrix, Distance, Points, SparseVec};
 
 /// Feature vectors for one split. The canonical storage is CSR (sparse);
 /// dense features (the VG substitute's embeddings) additionally keep the
 /// dense form so distance kernels can use the cheaper dense path.
 ///
 /// Sparse-backed features also carry the column-major [`CscIndex`]
-/// companion (built once here), so every point-to-all distance query runs
-/// through the inverted-index kernel: only the posting lists of the
-/// pivot's nonzero terms are walked. The naive row-major kernels stay
-/// reachable via the `*_naive` methods for differential tests and
-/// regression benchmarks; both paths are bit-identical by construction.
+/// companion (built once here), so every distance query runs through the
+/// inverted-index kernel: only the posting lists of the pivot's nonzero
+/// terms are walked. Dense-backed features run the lane-blocked dense
+/// kernel. [`Features::distances`] is the one distance query; the naive
+/// kernels it is checked against are `nemo_core::reference::distances`.
 #[derive(Debug, Clone)]
 pub struct Features {
     csr: CsrMatrix,
@@ -92,7 +90,7 @@ impl Features {
                 }
             }
             // The distance dispatch relies on exactly one of the two being
-            // present (see `point_to_all_into_with`).
+            // present (see `Features::points`).
             (Some(_), Some(_)) => return Err("features cannot be both dense- and CSC-backed"),
             (None, None) => return Err("sparse-backed features require a CSC companion"),
         }
@@ -129,293 +127,31 @@ impl Features {
         self.csc.as_ref()
     }
 
-    /// Distances from example `pivot` (within this split) to every example
-    /// of this split, through the indexed engine (allocating wrapper over
-    /// [`Features::point_to_all_into`]).
-    pub fn point_to_all(&self, dist: Distance, pivot: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.point_to_all_into(dist, pivot, &mut DistanceScratch::new(), &mut out);
-        out
+    /// Distances from each of `pivots` (examples of this split) to every
+    /// example of `target`, one vector per pivot, in pivot order. Pass
+    /// `target = self` for distances within the split (train → train) and
+    /// another split of the same dataset for cross-split ones (train →
+    /// valid). Runs [`Distance::point_to_all_many`]: the indexed kernel for
+    /// sparse-backed splits, the lane-blocked kernel for dense-backed ones.
+    ///
+    /// Precondition: `target` has this split's feature width and backing
+    /// (dense or sparse). The splits of a [`Dataset`] always do
+    /// ([`Dataset::validate`]; the artifact loader rejects files that
+    /// break it). Panics otherwise.
+    pub fn distances(&self, dist: Distance, pivots: &[usize], target: &Features) -> Vec<Vec<f64>> {
+        assert_eq!(self.dim(), target.dim(), "pivot and target features differ in width");
+        dist.point_to_all_many(self.points(), pivots, target.points())
     }
 
-    /// Indexed point-to-all into caller-owned buffers; repeated calls with
-    /// the same `scratch`/`out` are allocation-free. Uses the scalar dense
-    /// reduction (the historical bit-exact results); pass a backend
-    /// explicitly via [`Features::point_to_all_into_with`].
-    pub fn point_to_all_into(
-        &self,
-        dist: Distance,
-        pivot: usize,
-        scratch: &mut DistanceScratch,
-        out: &mut Vec<f64>,
-    ) {
-        self.point_to_all_into_with(dist, DenseBackend::Scalar, pivot, scratch, out);
-    }
-
-    /// [`Features::point_to_all_into`] with an explicit dense reduction
-    /// backend (ignored for sparse-backed splits). Single-pivot queries go
-    /// through the sharded kernels, which are bit-identical to the serial
-    /// ones for the same backend and parallelize large pools over fixed
-    /// row ranges.
-    pub fn point_to_all_into_with(
-        &self,
-        dist: Distance,
-        backend: DenseBackend,
-        pivot: usize,
-        scratch: &mut DistanceScratch,
-        out: &mut Vec<f64>,
-    ) {
+    /// The rows, their backing, and their cached norms, as the batched
+    /// distance kernels read them.
+    fn points(&self) -> Points<'_> {
         match (&self.dense, &self.csc) {
-            (Some(d), _) => dist.dense_row_to_all_sharded_into(
-                backend,
-                d.row(pivot),
-                self.sq_norms[pivot],
-                d,
-                &self.sq_norms,
-                out,
-            ),
-            (None, Some(csc)) => dist.sparse_point_to_all_indexed_sharded_into(
-                &self.csr,
-                csc,
-                pivot,
-                &self.sq_norms,
-                scratch,
-                out,
-            ),
+            (Some(m), _) => Points::Dense { m, sq_norms: &self.sq_norms },
+            (None, Some(csc)) => Points::Sparse { csr: &self.csr, csc, sq_norms: &self.sq_norms },
             // invariant: the constructor builds a CscIndex whenever the
             // split has no dense mirror.
             (None, None) => unreachable!("sparse-backed features always carry a CscIndex"),
-        }
-    }
-
-    /// Point-to-all through the pre-index kernels (row-major scan for
-    /// sparse, per-pair norms for dense): the differential reference the
-    /// indexed engine is validated against.
-    pub fn point_to_all_naive(&self, dist: Distance, pivot: usize) -> Vec<f64> {
-        match &self.dense {
-            Some(d) => dist.dense_point_to_all(d, pivot),
-            None => dist.sparse_point_to_all(&self.csr, pivot, &self.sq_norms),
-        }
-    }
-
-    /// Batched point-to-all: one distance vector per pivot, in pivot
-    /// order, partitioned over the pivots via `nemo_sparse::parallel`
-    /// (scalar dense backend; see [`Features::point_to_all_many_with`]).
-    pub fn point_to_all_many(&self, dist: Distance, pivots: &[usize]) -> Vec<Vec<f64>> {
-        self.point_to_all_many_with(dist, DenseBackend::Scalar, pivots)
-    }
-
-    /// [`Features::point_to_all_many`] with an explicit dense reduction
-    /// backend (ignored for sparse-backed splits). Batches with fewer
-    /// pivots than workers shard each query over row ranges instead —
-    /// bit-identical either way.
-    pub fn point_to_all_many_with(
-        &self,
-        dist: Distance,
-        backend: DenseBackend,
-        pivots: &[usize],
-    ) -> Vec<Vec<f64>> {
-        match (&self.dense, &self.csc) {
-            (Some(d), _) => dist.dense_point_to_all_many_with(backend, d, pivots, &self.sq_norms),
-            (None, Some(csc)) => dist.sparse_point_to_all_many(
-                &self.csr,
-                &self.sq_norms,
-                pivots,
-                csc,
-                &self.sq_norms,
-            ),
-            // invariant: the constructor builds a CscIndex whenever the
-            // split has no dense mirror.
-            (None, None) => unreachable!("sparse-backed features always carry a CscIndex"),
-        }
-    }
-
-    /// Distances from example `pivot` of *this* split to every example of
-    /// `other` (same feature space; used to refine LFs on valid/test),
-    /// through the indexed engine (allocating wrapper over
-    /// [`Features::point_to_other_into`]).
-    pub fn point_to_other(&self, dist: Distance, pivot: usize, other: &Features) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.point_to_other_into(dist, pivot, other, &mut DistanceScratch::new(), &mut out);
-        out
-    }
-
-    /// Indexed cross-split point-to-all into caller-owned buffers (scalar
-    /// dense backend; see [`Features::point_to_other_into_with`]).
-    pub fn point_to_other_into(
-        &self,
-        dist: Distance,
-        pivot: usize,
-        other: &Features,
-        scratch: &mut DistanceScratch,
-        out: &mut Vec<f64>,
-    ) {
-        self.point_to_other_into_with(dist, DenseBackend::Scalar, pivot, other, scratch, out);
-    }
-
-    /// [`Features::point_to_other_into`] with an explicit dense reduction
-    /// backend (used only when both splits are dense-backed). Single-pivot
-    /// queries go through the sharded kernels (bit-identical to serial).
-    pub fn point_to_other_into_with(
-        &self,
-        dist: Distance,
-        backend: DenseBackend,
-        pivot: usize,
-        other: &Features,
-        scratch: &mut DistanceScratch,
-        out: &mut Vec<f64>,
-    ) {
-        match (&self.dense, &other.dense, &other.csc) {
-            (Some(d_self), Some(d_other), _) => dist.dense_row_to_all_sharded_into(
-                backend,
-                d_self.row(pivot),
-                self.sq_norms[pivot],
-                d_other,
-                &other.sq_norms,
-                out,
-            ),
-            (_, _, Some(csc)) => dist.sparse_row_to_all_indexed_sharded_into(
-                &self.csr.row(pivot),
-                self.sq_norms[pivot],
-                csc,
-                &other.sq_norms,
-                scratch,
-                out,
-            ),
-            // Mixed sparse pivot vs dense-backed target: the target has no
-            // CSC companion, so fall back to the row-major scan over its
-            // CSR mirror (matches the historical dispatch).
-            _ => dist.sparse_row_to_all_into(
-                &self.csr.row(pivot),
-                self.sq_norms[pivot],
-                &other.csr,
-                &other.sq_norms,
-                out,
-            ),
-        }
-    }
-
-    /// Cross-split point-to-all through the pre-index kernels (the
-    /// differential reference).
-    pub fn point_to_other_naive(&self, dist: Distance, pivot: usize, other: &Features) -> Vec<f64> {
-        match (&self.dense, &other.dense) {
-            (Some(d_self), Some(d_other)) => dist.dense_row_to_all(d_self.row(pivot), d_other),
-            _ => {
-                let row = self.csr.row(pivot);
-                dist.sparse_row_to_all(&row, self.sq_norms[pivot], &other.csr, &other.sq_norms)
-            }
-        }
-    }
-
-    /// Serial cross-split dispatch: the per-pivot kernel the batched path
-    /// partitions over (never spawns, so pivot-level workers don't nest
-    /// shard-level workers).
-    fn point_to_other_serial_into_with(
-        &self,
-        dist: Distance,
-        backend: DenseBackend,
-        pivot: usize,
-        other: &Features,
-        scratch: &mut DistanceScratch,
-        out: &mut Vec<f64>,
-    ) {
-        match (&self.dense, &other.dense, &other.csc) {
-            (Some(d_self), Some(d_other), _) => dist.dense_row_to_all_cached_into_with(
-                backend,
-                d_self.row(pivot),
-                self.sq_norms[pivot],
-                d_other,
-                &other.sq_norms,
-                out,
-            ),
-            (_, _, Some(csc)) => dist.sparse_row_to_all_indexed_into(
-                &self.csr.row(pivot),
-                self.sq_norms[pivot],
-                csc,
-                &other.sq_norms,
-                scratch,
-                out,
-            ),
-            _ => dist.sparse_row_to_all_into(
-                &self.csr.row(pivot),
-                self.sq_norms[pivot],
-                &other.csr,
-                &other.sq_norms,
-                out,
-            ),
-        }
-    }
-
-    /// Batched cross-split point-to-all: one distance vector per pivot of
-    /// *this* split against every example of `other`, in pivot order
-    /// (scalar dense backend; see [`Features::point_to_other_many_with`]).
-    pub fn point_to_other_many(
-        &self,
-        dist: Distance,
-        pivots: &[usize],
-        other: &Features,
-    ) -> Vec<Vec<f64>> {
-        self.point_to_other_many_with(dist, DenseBackend::Scalar, pivots, other)
-    }
-
-    /// [`Features::point_to_other_many`] with an explicit dense reduction
-    /// backend. Batches with fewer pivots than workers shard each query
-    /// over row ranges of `other` instead of partitioning over the pivots
-    /// — bit-identical either way.
-    pub fn point_to_other_many_with(
-        &self,
-        dist: Distance,
-        backend: DenseBackend,
-        pivots: &[usize],
-        other: &Features,
-    ) -> Vec<Vec<f64>> {
-        use nemo_sparse::parallel::{num_threads, par_flat_map_chunks};
-        match (&self.dense, &other.dense, &other.csc) {
-            (Some(_), Some(_), _) | (_, _, None) => {
-                if pivots.len() < num_threads() {
-                    let mut scratch = DistanceScratch::new();
-                    return pivots
-                        .iter()
-                        .map(|&p| {
-                            let mut out = Vec::new();
-                            self.point_to_other_into_with(
-                                dist,
-                                backend,
-                                p,
-                                other,
-                                &mut scratch,
-                                &mut out,
-                            );
-                            out
-                        })
-                        .collect();
-                }
-                par_flat_map_chunks(pivots, 2, |_, chunk| {
-                    let mut scratch = DistanceScratch::new();
-                    chunk
-                        .iter()
-                        .map(|&p| {
-                            let mut out = Vec::new();
-                            self.point_to_other_serial_into_with(
-                                dist,
-                                backend,
-                                p,
-                                other,
-                                &mut scratch,
-                                &mut out,
-                            );
-                            out
-                        })
-                        .collect()
-                })
-            }
-            (_, _, Some(csc)) => dist.sparse_point_to_all_many(
-                &self.csr,
-                &self.sq_norms,
-                pivots,
-                csc,
-                &other.sq_norms,
-            ),
         }
     }
 }
@@ -489,6 +225,15 @@ impl Dataset {
         self.train.validate();
         self.valid.validate();
         self.test.validate();
+        let train = &self.train.features;
+        for split in [&self.valid, &self.test] {
+            assert_eq!(split.features.dim(), train.dim(), "split feature width differs from train");
+            assert_eq!(
+                split.features.dense().is_some(),
+                train.dense().is_some(),
+                "split feature backing differs from train"
+            );
+        }
         assert_eq!(self.train.corpus.n_primitives(), self.n_primitives);
         assert_eq!(self.valid.corpus.n_primitives(), self.n_primitives);
         assert_eq!(self.test.corpus.n_primitives(), self.n_primitives);
@@ -554,9 +299,9 @@ mod tests {
         // Rebuild as pure sparse.
         let fs = Features::from_csr(fd.csr().clone());
         for dist in [Distance::Cosine, Distance::Euclidean] {
-            let a = fd.point_to_all(dist, 2);
-            let b = fs.point_to_all(dist, 2);
-            for (x, y) in a.iter().zip(&b) {
+            let a = &fd.distances(dist, &[2], &fd)[0];
+            let b = &fs.distances(dist, &[2], &fs)[0];
+            for (x, y) in a.iter().zip(b) {
                 assert!((x - y).abs() < 1e-9);
             }
         }
@@ -566,7 +311,7 @@ mod tests {
     fn point_to_other_cross_split() {
         let f1 = tiny_features_sparse();
         let f2 = tiny_features_sparse();
-        let d = f1.point_to_other(Distance::Cosine, 0, &f2);
+        let d = &f1.distances(Distance::Cosine, &[0], &f2)[0];
         assert!(d[0].abs() < 1e-9); // identical vector
         assert!((d[1] - 1.0).abs() < 1e-9); // orthogonal
     }
@@ -581,113 +326,32 @@ mod tests {
         assert!(fd.csc().is_none());
     }
 
-    #[test]
-    fn indexed_naive_and_batched_paths_identical() {
-        let rows = vec![
-            SparseVec::from_pairs(vec![(0, 1.0), (2, 0.5)], 4),
-            SparseVec::from_pairs(vec![(1, 2.0)], 4),
-            SparseVec::zeros(4),
-            SparseVec::from_pairs(vec![(0, 0.5), (3, 1.0)], 4),
-        ];
-        let f = Features::from_csr(CsrMatrix::from_rows(&rows, 4));
-        let other = Features::from_csr(CsrMatrix::from_rows(&rows[..2], 4));
-        for dist in [Distance::Cosine, Distance::Euclidean] {
-            let pivots: Vec<usize> = (0..f.n()).collect();
-            let many = f.point_to_all_many(dist, &pivots);
-            let many_other = f.point_to_other_many(dist, &pivots, &other);
-            for (p, (m_row, mo_row)) in many.iter().zip(&many_other).enumerate() {
-                assert_eq!(f.point_to_all(dist, p), f.point_to_all_naive(dist, p), "{dist:?}");
-                assert_eq!(m_row, &f.point_to_all_naive(dist, p), "{dist:?} batched");
-                assert_eq!(
-                    f.point_to_other(dist, p, &other),
-                    f.point_to_other_naive(dist, p, &other),
-                    "{dist:?} cross"
-                );
-                assert_eq!(mo_row, &f.point_to_other_naive(dist, p, &other));
-            }
-        }
-    }
-
+    /// Dense-backed splits: a whole-split batch, one pivot at a time, and
+    /// a cross-split target holding the same rows all agree bitwise, and
+    /// stay within 1e-9 of the per-pair distance.
     #[test]
     fn dense_backed_paths_identical() {
         let d = DenseMatrix::from_rows(&[vec![1.0, 0.0], vec![0.5, 0.5], vec![0.0, 0.0]]);
-        let f = Features::from_dense(d);
+        let f = Features::from_dense(d.clone());
+        let other = f.clone();
         for dist in [Distance::Cosine, Distance::Euclidean] {
             let pivots: Vec<usize> = (0..f.n()).collect();
-            let many = f.point_to_all_many(dist, &pivots);
+            let many = f.distances(dist, &pivots, &f);
+            assert_eq!(many, f.distances(dist, &pivots, &other), "{dist:?} cross-split");
             for (p, m_row) in many.iter().enumerate() {
-                assert_eq!(f.point_to_all(dist, p), f.point_to_all_naive(dist, p));
-                assert_eq!(m_row, &f.point_to_all_naive(dist, p));
+                assert_eq!(m_row, &f.distances(dist, &[p], &f)[0], "{dist:?} pivot {p}");
+                for (r, &x) in m_row.iter().enumerate() {
+                    assert!((x - dist.dense(d.row(p), d.row(r))).abs() < 1e-9, "{dist:?}");
+                }
             }
         }
     }
 
-    /// The blocked dense backend stays within the documented 1e-9 relative
-    /// tolerance of the scalar reference on every dense-backed path, the
-    /// scalar `_with` path reproduces the historical results bitwise, and
-    /// sparse-backed splits ignore the backend entirely.
     #[test]
-    fn dense_backend_with_variants_consistent() {
-        let d = DenseMatrix::from_rows(&[
-            vec![1.0, 0.0, 2.0, -1.0, 0.5, 3.0, -0.25, 1.5, 2.5],
-            vec![0.5, 0.5, -1.0, 2.0, 0.0, 1.0, 0.75, -0.5, 1.0],
-            vec![0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        ]);
-        let f = Features::from_dense(d);
-        let fs = Features::from_csr(f.csr().clone());
-        let mut scratch = DistanceScratch::new();
-        let (mut scalar, mut blocked) = (Vec::new(), Vec::new());
-        for dist in [Distance::Cosine, Distance::Euclidean] {
-            let pivots: Vec<usize> = (0..f.n()).collect();
-            for p in 0..f.n() {
-                f.point_to_all_into_with(dist, DenseBackend::Scalar, p, &mut scratch, &mut scalar);
-                assert_eq!(scalar, f.point_to_all(dist, p), "{dist:?} scalar _with drifted");
-                f.point_to_all_into_with(
-                    dist,
-                    DenseBackend::Blocked,
-                    p,
-                    &mut scratch,
-                    &mut blocked,
-                );
-                for (r, (&a, &b)) in scalar.iter().zip(&blocked).enumerate() {
-                    assert!(
-                        (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
-                        "{dist:?} pivot {p} row {r}: {a} vs {b}"
-                    );
-                }
-                f.point_to_other_into_with(
-                    dist,
-                    DenseBackend::Blocked,
-                    p,
-                    &f,
-                    &mut scratch,
-                    &mut scalar,
-                );
-                assert_eq!(scalar, blocked, "{dist:?} self-other disagrees with all");
-                // Sparse-backed splits ignore the dense backend.
-                fs.point_to_all_into_with(
-                    dist,
-                    DenseBackend::Blocked,
-                    p,
-                    &mut scratch,
-                    &mut scalar,
-                );
-                assert_eq!(scalar, fs.point_to_all(dist, p), "{dist:?} sparse backend leak");
-            }
-            let many = f.point_to_all_many_with(dist, DenseBackend::Blocked, &pivots);
-            let many_other = f.point_to_other_many_with(dist, DenseBackend::Blocked, &pivots, &f);
-            for (p, (m_row, mo_row)) in many.iter().zip(&many_other).enumerate() {
-                f.point_to_all_into_with(
-                    dist,
-                    DenseBackend::Blocked,
-                    p,
-                    &mut scratch,
-                    &mut blocked,
-                );
-                assert_eq!(m_row, &blocked, "{dist:?} batched pivot {p}");
-                assert_eq!(mo_row, &blocked, "{dist:?} batched-other pivot {p}");
-            }
-        }
+    #[should_panic(expected = "differ in width")]
+    fn distances_reject_a_target_of_another_width() {
+        let narrow = Features::from_csr(CsrMatrix::from_rows(&[SparseVec::zeros(2)], 2));
+        tiny_features_sparse().distances(Distance::Cosine, &[0], &narrow);
     }
 
     #[test]
@@ -715,5 +379,21 @@ mod tests {
             clusters: vec![0],
         };
         split.validate();
+    }
+
+    #[test]
+    fn dataset_validate_catches_mixed_split_features() {
+        let ds = crate::catalog::toy_text(1);
+        ds.validate();
+        let n = ds.valid.n();
+        let narrow = Features::from_csr(CsrMatrix::from_rows(&vec![SparseVec::zeros(2); n], 2));
+        let dense = Features::from_dense(DenseMatrix::zeros(n, ds.train.features.dim()));
+        for (features, msg) in [(narrow, "width"), (dense, "backing")] {
+            let mut bad = ds.clone();
+            bad.valid.features = features;
+            let err = std::panic::catch_unwind(|| bad.validate()).expect_err(msg);
+            let text = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(text.contains(msg), "{msg}: {text}");
+        }
     }
 }

@@ -427,7 +427,8 @@ mod tests {
     fn same_cluster_docs_are_closer() {
         use nemo_sparse::Distance;
         let ds = generate_text(&tiny_spec(), 42);
-        let dists = ds.train.features.point_to_all(Distance::Cosine, 0);
+        let train = &ds.train.features;
+        let dists = &train.distances(Distance::Cosine, &[0], train)[0];
         let c0 = ds.train.clusters[0];
         let (mut same, mut diff) = (Vec::new(), Vec::new());
         for (i, &di) in dists.iter().enumerate().skip(1) {

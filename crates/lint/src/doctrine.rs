@@ -28,9 +28,6 @@ pub const SWITCH_REGISTRY: &[(&str, &str)] = &[
     // A strategy choice, not a reference arm: the IWS engine is pinned by
     // `tests/iws_engine_differential.rs`.
     ("SelectionStrategy", "crates/core/src/config.rs"),
-    // The scalar dense kernel, the oracle of the blocked one, stays a
-    // kernel argument of `nemo_sparse`.
-    ("DenseBackend::Scalar", "crates/sparse/src/dense.rs"),
 ];
 
 /// Published crates that must carry `#![warn(missing_docs)]` in their
@@ -82,7 +79,7 @@ fn enum_decl_line(lines: &[scan::Line], name: &str) -> Option<usize> {
         .position(|l| !l.in_test && l.code.contains("pub enum") && scan::has_ident(&l.code, name))
 }
 
-/// First segment of a registry path (`DenseBackend::Scalar` → `DenseBackend`).
+/// First segment of a registry path (`Enum::Variant` → `Enum`).
 fn registry_enum(path: &str) -> &str {
     path.split("::").next().unwrap_or(path)
 }

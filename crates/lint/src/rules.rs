@@ -40,7 +40,7 @@ pub enum RuleId {
     /// justification.
     PanicUncheckedIndex,
     /// A reference oracle — a public item of `nemo_core::reference`, or a
-    /// registered switch such as `DenseBackend::Scalar` — that no
+    /// registered switch such as `SelectionStrategy` — that no
     /// differential test under `tests/` names in code.
     DoctrineSwitchDifferential,
     /// A `pub enum` in `crates/core/src/config.rs` that is not in the

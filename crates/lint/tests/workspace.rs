@@ -43,13 +43,14 @@ fn seeded_hashmap_in_session_is_caught() {
 /// Test code naming every oracle of the mini workspace.
 const DIFFERENTIALS: &str = "fn differentials() {\n\
     register_batch_naive();\n\
+    distances();\n\
     tune_p();\n\
     let _ = (FullRescoreSeu, ReferencePipeline);\n\
-    let _ = (DenseBackend::Scalar, SelectionStrategy::A);\n\
+    let _ = SelectionStrategy::A;\n\
 }\n";
 
-/// A minimal workspace for the structural rules: a reference module,
-/// registered switches, one bench section, a documented crate set, a
+/// A minimal workspace for the structural rules: a reference module, a
+/// registered switch, one bench section, a documented crate set, a
 /// hermetic lockfile.
 struct MiniWorkspace {
     root: PathBuf,
@@ -72,11 +73,8 @@ impl MiniWorkspace {
              /// Oracle.\npub fn tune_p() {}\n\
              /// Oracle.\npub struct FullRescoreSeu;\n\
              /// Oracle.\npub struct ReferencePipeline;\n\
+             /// Oracle.\npub fn distances() {}\n\
              fn private_helper() {}\n",
-        );
-        ws.write(
-            "crates/sparse/src/dense.rs",
-            "/// Kernel.\npub enum DenseBackend { Blocked, Scalar }\n",
         );
         ws.write("tests/differentials.rs", DIFFERENTIALS);
         ws.write("BENCH_kernel.json", "{\n  \"profile\": \"quick\",\n  \"seu_loop\": {}\n}\n");
@@ -141,13 +139,14 @@ fn deleted_differential_test_is_caught() {
 
 #[test]
 fn reference_oracles_outside_the_module_are_caught() {
-    // The scalar dense kernel is registered as a path: naming its enum
-    // through another variant does not count.
-    let ws = MiniWorkspace::new("scalar");
-    ws.write("tests/differentials.rs", &DIFFERENTIALS.replace("Scalar", "Blocked"));
+    // A registered switch lives outside the reference module; deleting
+    // its enum without updating the registry is a finding at the file
+    // that used to declare it, not a silently skipped check.
+    let ws = MiniWorkspace::new("outside");
+    ws.write("crates/core/src/config.rs", "//! Configuration without the strategy enum.\n");
     assert_eq!(
         ws.check(),
-        vec![(RuleId::DoctrineSwitchDifferential, "crates/sparse/src/dense.rs".to_string(), 2)]
+        vec![(RuleId::DoctrineSwitchDifferential, "crates/core/src/config.rs".to_string(), 1)]
     );
 }
 

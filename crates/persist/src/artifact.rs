@@ -278,6 +278,17 @@ pub fn artifact_from_bytes(bytes: &[u8]) -> Result<ArtifactBundle, PersistError>
     let mut test_dec = p.section(section::TEST, "TEST")?;
     let test = dec_split(&mut test_dec, n_primitives)?;
     test_dec.finish()?;
+    // Every distance query runs a train pivot against one split's rows,
+    // so the splits must share train's feature width and backing.
+    let train_f = &train.features;
+    for split in [&valid, &test] {
+        if split.features.dim() != train_f.dim() {
+            return Err(PersistError::InvalidValue("split feature width differs from train"));
+        }
+        if split.features.dense().is_some() != train_f.dense().is_some() {
+            return Err(PersistError::InvalidValue("split feature backing differs from train"));
+        }
+    }
 
     let mut text = p.section(section::TEXT, "TEXT")?;
     let vocab = if text.presence()? {

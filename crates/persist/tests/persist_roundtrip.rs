@@ -11,7 +11,7 @@ use nemo_data::{Dataset, Features, Split};
 use nemo_lf::{Label, Metric, PrimitiveCorpus, PrimitiveLf, TrackedLf};
 use nemo_persist::{
     artifact_from_bytes, artifact_to_bytes, load_artifact, load_session, save_artifact,
-    save_session, session_from_bytes, session_to_bytes, ArtifactBundle,
+    save_session, session_from_bytes, session_to_bytes, ArtifactBundle, PersistError,
 };
 use nemo_sparse::{CsrMatrix, DenseMatrix, SparseVec};
 use nemo_text::{TfIdf, Vocab};
@@ -130,6 +130,30 @@ fn artifact_file_roundtrips_on_disk() {
     let loaded = load_artifact(&path).unwrap();
     assert_eq!(artifact_to_bytes(&loaded), artifact_to_bytes(&bundle));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A bundle whose valid split disagrees with train in feature width or
+/// backing encodes, but loading it is a typed error: every distance query
+/// runs a train pivot against a valid row set, so such a file would
+/// otherwise panic inside the first registration.
+#[test]
+fn mismatched_split_features_are_rejected_on_load() {
+    let dataset = toy_text(3);
+    let (n, dim) = (dataset.valid.n(), dataset.train.features.dim());
+    let narrow = Features::from_csr(CsrMatrix::from_rows(&vec![SparseVec::zeros(2); n], 2));
+    let dense = Features::from_dense(DenseMatrix::zeros(n, dim));
+    for (features, want) in [
+        (narrow, "split feature width differs from train"),
+        (dense, "split feature backing differs from train"),
+    ] {
+        let mut bad = dataset.clone();
+        bad.valid.features = features;
+        let bytes = artifact_to_bytes(&ArtifactBundle { dataset: bad, vocab: None, tfidf: None });
+        match artifact_from_bytes(&bytes) {
+            Err(PersistError::InvalidValue(msg)) => assert_eq!(msg, want),
+            other => panic!("expected InvalidValue({want:?}), got {:?}", other.map(|_| ())),
+        }
+    }
 }
 
 proptest! {

@@ -97,67 +97,14 @@ impl DenseMatrix {
     }
 }
 
-/// Which dense reduction kernel the distance engine uses.
-///
-/// The scalar kernels ([`dot`], [`sq_euclidean`]) reduce with a single
-/// sequential `f64` accumulator — a loop-carried add chain whose latency
-/// (not the multiply throughput) bounds the whole point-to-all scan. The
-/// blocked kernels ([`dot_blocked`], [`sq_euclidean_blocked`]) keep
-/// [`DOT_LANES`] independent accumulators over fixed-width column chunks,
-/// which breaks the chain and lets the compiler keep several FMAs in
-/// flight (and vectorize the chunk body).
-///
-/// Both kernels are deterministic — the blocked combine order is fixed and
-/// independent of thread count — but they are *not* bit-identical to each
-/// other: blocking reassociates the `f64` sum, so blocked and scalar
-/// distances may differ by up to ~1e-9 relative (see the documented
-/// tolerance in `tests/dense_kernel_differential.rs`). `Scalar` is kept as
-/// the reference leg for that differential, mirroring how the naive scan
-/// (`nemo_core::reference::register_batch_naive`) anchors the indexed
-/// sparse kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DenseBackend {
-    /// Multi-accumulator chunked kernel (the production default).
-    #[default]
-    Blocked,
-    /// Single-accumulator sequential reduction (the reference leg).
-    Scalar,
-}
-
-impl DenseBackend {
-    /// Stable name for configs, logs, and bench output.
-    pub fn name(self) -> &'static str {
-        match self {
-            DenseBackend::Blocked => "blocked",
-            DenseBackend::Scalar => "scalar",
-        }
-    }
-
-    /// Dot product under this backend.
-    #[inline]
-    pub fn dot(self, a: &[f32], b: &[f32]) -> f64 {
-        match self {
-            DenseBackend::Blocked => dot_blocked(a, b),
-            DenseBackend::Scalar => dot(a, b),
-        }
-    }
-
-    /// Squared euclidean distance under this backend.
-    #[inline]
-    pub fn sq_euclidean(self, a: &[f32], b: &[f32]) -> f64 {
-        match self {
-            DenseBackend::Blocked => sq_euclidean_blocked(a, b),
-            DenseBackend::Scalar => sq_euclidean(a, b),
-        }
-    }
-}
-
 /// Independent accumulator lanes in the blocked dense kernels. Eight `f64`
 /// lanes fill two 4-wide AVX2 registers (or four 2-wide NEON ones) and are
 /// enough to hide the 4-cycle FMA latency of one sequential chain.
 pub const DOT_LANES: usize = 8;
 
-/// Dense dot product.
+/// Dense dot product with one sequential `f64` accumulator: the scalar
+/// reduction of the dense distance oracle
+/// ([`crate::Distance::dense_row_to_all_naive_into`], [`crate::Distance::dense`]).
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
@@ -166,6 +113,10 @@ pub fn dot(a: &[f32], b: &[f32]) -> f64 {
 
 /// Blocked dense dot product: [`DOT_LANES`] independent `f64` accumulators
 /// over fixed-width chunks, plus a scalar tail, combined in a fixed order.
+/// The scalar [`dot`] is one loop-carried add chain whose latency (not the
+/// multiply throughput) bounds a point-to-all scan; independent lanes break
+/// the chain and let the compiler keep several FMAs in flight. This is the
+/// reduction every production dense distance runs.
 ///
 /// Deterministic (the chunk grid and combine order depend only on the
 /// input length) but reassociated relative to [`dot`], so results may
@@ -209,7 +160,8 @@ pub fn sq_euclidean_blocked(a: &[f32], b: &[f32]) -> f64 {
     acc.iter().sum::<f64>() + tail
 }
 
-/// Squared euclidean distance between dense vectors.
+/// Squared euclidean distance between dense vectors, one sequential
+/// accumulator (the scalar reduction of the dense distance oracle).
 #[inline]
 pub fn sq_euclidean(a: &[f32], b: &[f32]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
@@ -334,25 +286,6 @@ mod tests {
         let b: Vec<f32> = (0..100).map(|i| (i as f32).cos()).collect();
         assert_eq!(dot_blocked(&a, &b).to_bits(), dot_blocked(&a, &b).to_bits());
         assert_eq!(sq_euclidean_blocked(&a, &b).to_bits(), sq_euclidean_blocked(&a, &b).to_bits());
-    }
-
-    #[test]
-    fn dense_backend_dispatch_and_names() {
-        assert_eq!(DenseBackend::default(), DenseBackend::Blocked);
-        assert_eq!(DenseBackend::Blocked.name(), "blocked");
-        assert_eq!(DenseBackend::Scalar.name(), "scalar");
-        let a = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
-        let b = [9.0f32, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0];
-        assert_eq!(DenseBackend::Scalar.dot(&a, &b).to_bits(), dot(&a, &b).to_bits());
-        assert_eq!(DenseBackend::Blocked.dot(&a, &b).to_bits(), dot_blocked(&a, &b).to_bits());
-        assert_eq!(
-            DenseBackend::Scalar.sq_euclidean(&a, &b).to_bits(),
-            sq_euclidean(&a, &b).to_bits()
-        );
-        assert_eq!(
-            DenseBackend::Blocked.sq_euclidean(&a, &b).to_bits(),
-            sq_euclidean_blocked(&a, &b).to_bits()
-        );
     }
 
     #[test]

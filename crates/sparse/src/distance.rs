@@ -3,44 +3,46 @@
 //! The paper's contextualizer needs `dist(x, x_λ)` from each development
 //! data point to every example; in the text domain this is cosine or
 //! euclidean distance over TF-IDF vectors (Sec. 4.3, Table 9), and in the
-//! image domain the same over dense embeddings. Both sparse and dense
-//! feature storage expose a "one point vs all rows" kernel, which is the
-//! access pattern the contextualizer caches.
+//! image domain the same over dense embeddings. Every query is therefore
+//! "one pivot row vs all rows of a target matrix", and each feature
+//! backing has three kernels for it:
 //!
-//! Three tiers of sparse kernel, all producing **bit-identical** results
-//! (per-row dot products accumulate matching terms in ascending column
-//! order in every tier, so the floating-point operations are literally the
-//! same):
+//! | backing | oracle | serial kernel | sharded kernel |
+//! |---|---|---|---|
+//! | sparse | [`Distance::sparse_row_to_all_naive_into`] | [`Distance::sparse_row_to_all_indexed_into`] | [`Distance::sparse_row_to_all_indexed_sharded_into`] |
+//! | dense | [`Distance::dense_row_to_all_naive_into`] | [`Distance::dense_row_to_all_into`] | [`Distance::dense_row_to_all_sharded_into`] |
 //!
-//! 1. **Naive row-major** ([`Distance::sparse_point_to_all_into`]) — a
-//!    sorted-merge dot against every row; `O(nnz + n·nnz(pivot))`. Kept as
-//!    the differential reference and regression baseline.
-//! 2. **Indexed** ([`Distance::sparse_row_to_all_indexed_into`]) — walks
-//!    only the posting lists of the pivot's nonzero columns in a
-//!    [`CscIndex`], scattering into a reusable [`DistanceScratch`]
-//!    accumulator; `O(n + Σ_{j ∈ pivot} df(j))`. Rows sharing no terms
-//!    with the pivot are never touched.
-//! 3. **Batched** ([`Distance::sparse_point_to_all_many`]) — one call per
-//!    round registering many pivots, partitioned over the pivots via
-//!    [`crate::parallel`] with one scratch per worker.
-//! 4. **Sharded single-pivot**
-//!    ([`Distance::sparse_row_to_all_indexed_sharded_into`]) — one pivot's
-//!    posting lists split over fixed contiguous row ranges
-//!    ([`INDEXED_SHARD_ROWS`] rows per shard), whole shards distributed
-//!    over workers. Each shard accumulates its own rows' terms in the same
-//!    ascending-column order as tiers 1–2, so the result is bit-identical
-//!    for *any* worker count — the shard grid depends only on the row
-//!    count. Batches with fewer pivots than workers route through this
-//!    kernel automatically.
+//! - **Oracles** — the sparse one is a sorted-merge dot against every row
+//!   (`O(nnz + n·nnz(pivot))`); the dense one reduces each row with the
+//!   scalar single-accumulator [`crate::dense::dot`] /
+//!   [`crate::dense::sq_euclidean`]. They exist for differential tests and
+//!   regression benchmarks; production never calls them.
+//! - **Serial kernels** — the sparse one walks only the posting lists of
+//!   the pivot's nonzero columns in a [`CscIndex`], scattering into a
+//!   reusable [`DistanceScratch`] (`O(n + Σ_{j ∈ pivot} df(j))`; rows
+//!   sharing no terms with the pivot are never touched). The dense one
+//!   keeps [`crate::dense::DOT_LANES`] independent accumulators per row.
+//! - **Sharded kernels** — one pivot's query split over fixed contiguous
+//!   row ranges ([`INDEXED_SHARD_ROWS`] / [`DENSE_SHARD_ROWS`] rows per
+//!   shard), whole shards distributed over workers. The shard grid depends
+//!   only on the row count, so the result is bit-identical to the serial
+//!   kernel for *any* worker count. Below [`MIN_SHARDED_ROWS`] rows or on
+//!   one worker they run the serial kernel outright.
 //!
-//! The dense kernels mirror this with a [`DenseBackend`] switch (blocked
-//! multi-accumulator reduction vs the scalar reference; see
-//! [`crate::dense`]) and a row-block-sharded point-to-all
-//! ([`Distance::dense_row_to_all_sharded_into`]).
+//! [`Distance::point_to_all_many`] is the batched entry production runs
+//! (through `nemo_data::Features::distances`): fewer pivots than workers
+//! shard each query, otherwise the pivots are split over workers.
+//!
+//! Agreement: the three sparse tiers are **bit-identical** (per-row dot
+//! products accumulate matching terms in ascending column order in every
+//! tier, so the floating-point operations are literally the same). The
+//! blocked dense kernels reassociate the sums, so they agree with the
+//! scalar oracle within `1e-9` relative, and bitwise on rows shorter than
+//! [`crate::dense::DOT_LANES`].
 
 use crate::csc::CscIndex;
 use crate::csr::{CsrMatrix, SparseRow};
-use crate::dense::{self, DenseBackend, DenseMatrix};
+use crate::dense::{self, DenseMatrix};
 use crate::parallel;
 
 /// Rows per shard of a sharded single-pivot indexed query. The shard grid
@@ -138,60 +140,15 @@ impl Distance {
         }
     }
 
-    /// Distances from row `pivot` of a CSR matrix to every row, via the
-    /// naive row-major scan (allocating wrapper over
-    /// [`Distance::sparse_point_to_all_into`]).
+    /// Naive row-major scan: distances from a sparse `pivot` row to every
+    /// row of `m`, one sorted-merge dot per row, into a caller-owned buffer
+    /// (cleared and refilled). The sparse oracle.
     ///
-    /// `sq_norms` must be the cached per-row squared norms
-    /// ([`CsrMatrix::row_sq_norms`]).
-    pub fn sparse_point_to_all(self, m: &CsrMatrix, pivot: usize, sq_norms: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.sparse_point_to_all_into(m, pivot, sq_norms, &mut out);
-        out
-    }
-
-    /// Naive row-major point-to-all into a caller-owned buffer: `out` is
-    /// cleared and refilled, so repeated calls are allocation-free once the
-    /// buffer has grown to the pool size.
-    pub fn sparse_point_to_all_into(
-        self,
-        m: &CsrMatrix,
-        pivot: usize,
-        sq_norms: &[f64],
-        out: &mut Vec<f64>,
-    ) {
-        let p = m.row(pivot);
-        self.sparse_row_to_all_into(&p, sq_norms[pivot], m, sq_norms, out);
-    }
-
-    /// Distances from row `pivot` of a dense matrix to every row.
-    pub fn dense_point_to_all(self, m: &DenseMatrix, pivot: usize) -> Vec<f64> {
-        let p: Vec<f32> = m.row(pivot).to_vec();
-        (0..m.n_rows()).map(|r| self.dense(&p, m.row(r))).collect()
-    }
-
-    /// Distances from an arbitrary sparse `pivot` row to every row of `m`
-    /// (the pivot may come from a *different* matrix in the same feature
-    /// space, e.g. a training development point vs validation examples),
-    /// via the naive row-major scan (allocating wrapper over
-    /// [`Distance::sparse_row_to_all_into`]).
-    ///
+    /// The pivot may come from a *different* matrix in the same feature
+    /// space (a training development point vs validation examples).
     /// `pivot_sq` is the pivot's squared norm; `sq_norms` the cached
-    /// per-row squared norms of `m`.
-    pub fn sparse_row_to_all(
-        self,
-        pivot: &SparseRow<'_>,
-        pivot_sq: f64,
-        m: &CsrMatrix,
-        sq_norms: &[f64],
-    ) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.sparse_row_to_all_into(pivot, pivot_sq, m, sq_norms, &mut out);
-        out
-    }
-
-    /// Naive row-major row-to-all into a caller-owned buffer.
-    pub fn sparse_row_to_all_into(
+    /// per-row squared norms of `m` ([`CsrMatrix::row_sq_norms`]).
+    pub fn sparse_row_to_all_naive_into(
         self,
         pivot: &SparseRow<'_>,
         pivot_sq: f64,
@@ -207,33 +164,15 @@ impl Distance {
         }
     }
 
-    /// Indexed point-to-all: distances from row `pivot` of `m` to every
-    /// row, driven by `m`'s column-major companion `index`.
-    ///
-    /// Bit-identical to [`Distance::sparse_point_to_all_into`] (see the
-    /// module docs), but only walks the posting lists of the pivot's
-    /// nonzero columns.
-    pub fn sparse_point_to_all_indexed_into(
-        self,
-        m: &CsrMatrix,
-        index: &CscIndex,
-        pivot: usize,
-        sq_norms: &[f64],
-        scratch: &mut DistanceScratch,
-        out: &mut Vec<f64>,
-    ) {
-        let p = m.row(pivot);
-        self.sparse_row_to_all_indexed_into(&p, sq_norms[pivot], index, sq_norms, scratch, out);
-    }
-
-    /// Indexed row-to-all: distances from an arbitrary sparse `pivot` row
-    /// to every row of the matrix behind `index` (its [`CscIndex`]).
+    /// Indexed row-to-all: distances from a sparse `pivot` row to every
+    /// row of the matrix behind `index` (its [`CscIndex`]).
     ///
     /// The pivot's nonzero values are scattered through the posting lists
     /// of their columns into `scratch`'s per-row dot accumulator — rows
     /// sharing no terms with the pivot keep a zero dot and are only
     /// touched by the `O(n)` finish pass. `sq_norms` are the indexed
-    /// matrix's cached squared row norms.
+    /// matrix's cached squared row norms. Bit-identical to
+    /// [`Distance::sparse_row_to_all_naive_into`] (see the module docs).
     pub fn sparse_row_to_all_indexed_into(
         self,
         pivot: &SparseRow<'_>,
@@ -260,30 +199,6 @@ impl Distance {
         for r in 0..n {
             out.push(self.finish(dots[r], pivot_sq, sq_norms[r]));
         }
-    }
-
-    /// Sharded indexed point-to-all: like
-    /// [`Distance::sparse_point_to_all_indexed_into`] but parallel over
-    /// fixed row ranges of the *single* query (allocating wrapper over
-    /// [`Distance::sparse_row_to_all_indexed_sharded_into`]).
-    pub fn sparse_point_to_all_indexed_sharded_into(
-        self,
-        m: &CsrMatrix,
-        index: &CscIndex,
-        pivot: usize,
-        sq_norms: &[f64],
-        scratch: &mut DistanceScratch,
-        out: &mut Vec<f64>,
-    ) {
-        let p = m.row(pivot);
-        self.sparse_row_to_all_indexed_sharded_into(
-            &p,
-            sq_norms[pivot],
-            index,
-            sq_norms,
-            scratch,
-            out,
-        );
     }
 
     /// Sharded indexed row-to-all: one pivot query parallelized over fixed
@@ -342,110 +257,18 @@ impl Distance {
         );
     }
 
-    /// Batched indexed kernel: distances from each of `pivots` (rows of
-    /// `src`) to every row of the matrix behind `index`, one vector per
-    /// pivot, in pivot order.
+    /// Scalar dense row-to-all: one single-accumulator reduction per row
+    /// ([`dense::dot`] / [`dense::sq_euclidean`]), into a caller-owned
+    /// buffer. The dense oracle.
     ///
-    /// The batch is partitioned over the pivots via [`crate::parallel`];
-    /// each worker reuses one [`DistanceScratch`] and output buffers are
-    /// written exactly once, so a round registering many LFs does all its
-    /// distance work in a single pass. `src` may be the indexed matrix
-    /// itself (self-distances) or another matrix in the same feature space.
-    ///
-    /// Batches with fewer pivots than workers (the common
-    /// one-LF-per-round interactive case) leave cores idle under
-    /// pivot-level partitioning, so they route each query through the
-    /// bit-identical sharded kernel
-    /// ([`Distance::sparse_row_to_all_indexed_sharded_into`]) instead —
-    /// the results are the same either way, only the parallel axis moves.
-    pub fn sparse_point_to_all_many(
+    /// Cosine reads the cached squared norms `pivot_sq`/`sq_norms`, which
+    /// are summed in the same order as [`Distance::dense`] re-derives them
+    /// per pair, so the results are bit-identical to calling
+    /// [`Distance::dense`] on every row. Euclidean keeps the
+    /// numerically-preferable difference form, which never consults the
+    /// norms.
+    pub fn dense_row_to_all_naive_into(
         self,
-        src: &CsrMatrix,
-        src_sq_norms: &[f64],
-        pivots: &[usize],
-        index: &CscIndex,
-        target_sq_norms: &[f64],
-    ) -> Vec<Vec<f64>> {
-        if pivots.len() < parallel::num_threads() {
-            let mut scratch = DistanceScratch::new();
-            return pivots
-                .iter()
-                .map(|&p| {
-                    let mut out = Vec::new();
-                    self.sparse_row_to_all_indexed_sharded_into(
-                        &src.row(p),
-                        src_sq_norms[p],
-                        index,
-                        target_sq_norms,
-                        &mut scratch,
-                        &mut out,
-                    );
-                    out
-                })
-                .collect();
-        }
-        parallel::par_flat_map_chunks(pivots, 2, |_, chunk| {
-            let mut scratch = DistanceScratch::new();
-            chunk
-                .iter()
-                .map(|&p| {
-                    let mut out = Vec::new();
-                    self.sparse_row_to_all_indexed_into(
-                        &src.row(p),
-                        src_sq_norms[p],
-                        index,
-                        target_sq_norms,
-                        &mut scratch,
-                        &mut out,
-                    );
-                    out
-                })
-                .collect()
-        })
-    }
-
-    /// Distances from an arbitrary dense `pivot` vector to every row of `m`.
-    pub fn dense_row_to_all(self, pivot: &[f32], m: &DenseMatrix) -> Vec<f64> {
-        (0..m.n_rows()).map(|r| self.dense(pivot, m.row(r))).collect()
-    }
-
-    /// Dense row-to-all with cached squared row norms, into a caller-owned
-    /// buffer.
-    ///
-    /// Cosine reuses `pivot_sq`/`sq_norms` instead of re-deriving both
-    /// norms per pair (bit-identical: cached norms are computed in the
-    /// same summation order). Euclidean keeps the numerically-preferable
-    /// difference form, which never consults the norms.
-    pub fn dense_row_to_all_cached_into(
-        self,
-        pivot: &[f32],
-        pivot_sq: f64,
-        m: &DenseMatrix,
-        sq_norms: &[f64],
-        out: &mut Vec<f64>,
-    ) {
-        self.dense_row_to_all_cached_into_with(
-            DenseBackend::Scalar,
-            pivot,
-            pivot_sq,
-            m,
-            sq_norms,
-            out,
-        );
-    }
-
-    /// [`Distance::dense_row_to_all_cached_into`] with an explicit
-    /// [`DenseBackend`] choosing the per-row reduction kernel.
-    ///
-    /// `Scalar` reproduces the historical single-accumulator results
-    /// bitwise; `Blocked` uses the multi-accumulator kernels from
-    /// [`crate::dense`], which are deterministic but reassociate the sums
-    /// (≤ ~1e-9 relative difference; see the `DenseBackend` docs). Norms
-    /// are always the cached scalar-order sums, so the two backends differ
-    /// only in the dot / squared-difference reduction.
-    pub fn dense_row_to_all_cached_into_with(
-        self,
-        backend: DenseBackend,
         pivot: &[f32],
         pivot_sq: f64,
         m: &DenseMatrix,
@@ -457,10 +280,36 @@ impl Distance {
         out.reserve(m.n_rows());
         for (r, row) in m.rows().enumerate() {
             let d = match self {
-                Distance::Cosine => cosine_distance(backend.dot(pivot, row), pivot_sq, sq_norms[r]),
-                Distance::Euclidean => backend.sq_euclidean(pivot, row).sqrt(),
+                Distance::Cosine => cosine_distance(dense::dot(pivot, row), pivot_sq, sq_norms[r]),
+                Distance::Euclidean => dense::sq_euclidean(pivot, row).sqrt(),
             };
             out.push(d);
+        }
+    }
+
+    /// Dense row-to-all through the lane-blocked reductions
+    /// ([`dense::dot_blocked`] / [`dense::sq_euclidean_blocked`]), into a
+    /// caller-owned buffer.
+    ///
+    /// Deterministic, but blocking reassociates the `f64` sums, so results
+    /// may differ from [`Distance::dense_row_to_all_naive_into`] by up to
+    /// ~1e-9 relative; rows shorter than [`dense::DOT_LANES`] have no lane
+    /// body and match it bitwise. Norms are the cached scalar-order sums,
+    /// so the two kernels differ only in the dot / squared-difference
+    /// reduction.
+    pub fn dense_row_to_all_into(
+        self,
+        pivot: &[f32],
+        pivot_sq: f64,
+        m: &DenseMatrix,
+        sq_norms: &[f64],
+        out: &mut Vec<f64>,
+    ) {
+        assert_eq!(sq_norms.len(), m.n_rows(), "sq_norms length mismatch");
+        out.clear();
+        out.reserve(m.n_rows());
+        for (r, row) in m.rows().enumerate() {
+            out.push(self.dense_blocked(pivot, pivot_sq, row, sq_norms[r]));
         }
     }
 
@@ -469,14 +318,12 @@ impl Distance {
     ///
     /// Dense distances are computed row-independently, so the sharded
     /// result is trivially bit-identical to
-    /// [`Distance::dense_row_to_all_cached_into_with`] for the same
-    /// `backend` under any `NEMO_THREADS`; the fixed block grid keeps the
-    /// work distribution itself deterministic. Small pools (below
-    /// [`MIN_SHARDED_ROWS`]) and single-threaded configurations fall back
-    /// to the serial kernel outright.
+    /// [`Distance::dense_row_to_all_into`] under any `NEMO_THREADS`; the
+    /// fixed block grid keeps the work distribution itself deterministic.
+    /// Small pools (below [`MIN_SHARDED_ROWS`]) and single-threaded
+    /// configurations fall back to the serial kernel outright.
     pub fn dense_row_to_all_sharded_into(
         self,
-        backend: DenseBackend,
         pivot: &[f32],
         pivot_sq: f64,
         m: &DenseMatrix,
@@ -485,8 +332,7 @@ impl Distance {
     ) {
         let n = m.n_rows();
         if n < MIN_SHARDED_ROWS || parallel::num_threads() == 1 {
-            return self
-                .dense_row_to_all_cached_into_with(backend, pivot, pivot_sq, m, sq_norms, out);
+            return self.dense_row_to_all_into(pivot, pivot_sq, m, sq_norms, out);
         }
         assert_eq!(sq_norms.len(), n, "sq_norms length mismatch");
         out.clear();
@@ -494,76 +340,124 @@ impl Distance {
         parallel::par_for_each_fixed_chunk_mut(out, DENSE_SHARD_ROWS, |lo, out_c| {
             for (i, o) in out_c.iter_mut().enumerate() {
                 let r = lo + i;
-                let row = m.row(r);
-                *o = match self {
-                    Distance::Cosine => {
-                        cosine_distance(backend.dot(pivot, row), pivot_sq, sq_norms[r])
-                    }
-                    Distance::Euclidean => backend.sq_euclidean(pivot, row).sqrt(),
-                };
+                *o = self.dense_blocked(pivot, pivot_sq, m.row(r), sq_norms[r]);
             }
         });
     }
 
-    /// Batched dense kernel: one distance vector per pivot row of `m`,
-    /// partitioned over the pivots via [`crate::parallel`]. Scalar-backend
-    /// wrapper over [`Distance::dense_point_to_all_many_with`].
-    pub fn dense_point_to_all_many(
-        self,
-        m: &DenseMatrix,
-        pivots: &[usize],
-        sq_norms: &[f64],
-    ) -> Vec<Vec<f64>> {
-        self.dense_point_to_all_many_with(DenseBackend::Scalar, m, pivots, sq_norms)
+    /// One lane-blocked dense distance from cached squared norms.
+    #[inline]
+    fn dense_blocked(self, pivot: &[f32], pivot_sq: f64, row: &[f32], row_sq: f64) -> f64 {
+        match self {
+            Distance::Cosine => cosine_distance(dense::dot_blocked(pivot, row), pivot_sq, row_sq),
+            Distance::Euclidean => dense::sq_euclidean_blocked(pivot, row).sqrt(),
+        }
     }
 
-    /// Batched dense kernel with an explicit [`DenseBackend`]. Batches
-    /// with fewer pivots than workers route each query through the
-    /// bit-identical row-block-sharded kernel
-    /// ([`Distance::dense_row_to_all_sharded_into`]) instead of leaving
-    /// cores idle on pivot-level partitioning.
-    pub fn dense_point_to_all_many_with(
+    /// Batched point-to-all: distances from each of `pivots` (rows of
+    /// `src`) to every row of `target`, one vector per pivot, in pivot
+    /// order. `src` may be `target` itself or another matrix in the same
+    /// feature space; both must share a backing (panics otherwise).
+    ///
+    /// Sparse pivots run the indexed kernels against the target's
+    /// [`CscIndex`]; dense ones the lane-blocked kernels. A batch with
+    /// fewer pivots than workers (the common one-LF-per-round interactive
+    /// case) shards each query over row ranges of the target; a larger
+    /// batch is partitioned over the pivots via [`crate::parallel`], each
+    /// worker running the serial kernel with one reused
+    /// [`DistanceScratch`]. The results are the same either way — only
+    /// the parallel axis moves.
+    pub fn point_to_all_many(
         self,
-        backend: DenseBackend,
-        m: &DenseMatrix,
+        src: Points<'_>,
         pivots: &[usize],
-        sq_norms: &[f64],
+        target: Points<'_>,
     ) -> Vec<Vec<f64>> {
-        if pivots.len() < parallel::num_threads() {
-            return pivots
-                .iter()
-                .map(|&p| {
-                    let mut out = Vec::new();
-                    self.dense_row_to_all_sharded_into(
-                        backend,
-                        m.row(p),
-                        sq_norms[p],
-                        m,
-                        sq_norms,
-                        &mut out,
+        match (src, target) {
+            (
+                Points::Sparse { csr, sq_norms: src_sq, .. },
+                Points::Sparse { csc, sq_norms, .. },
+            ) => batch(pivots, |p, shard, scratch, out| {
+                let pivot = csr.row(p);
+                if shard {
+                    self.sparse_row_to_all_indexed_sharded_into(
+                        &pivot, src_sq[p], csc, sq_norms, scratch, out,
                     );
-                    out
+                } else {
+                    self.sparse_row_to_all_indexed_into(
+                        &pivot, src_sq[p], csc, sq_norms, scratch, out,
+                    );
+                }
+            }),
+            (Points::Dense { m: src_m, sq_norms: src_sq }, Points::Dense { m, sq_norms }) => {
+                batch(pivots, |p, shard, _, out| {
+                    if shard {
+                        self.dense_row_to_all_sharded_into(
+                            src_m.row(p),
+                            src_sq[p],
+                            m,
+                            sq_norms,
+                            out,
+                        );
+                    } else {
+                        self.dense_row_to_all_into(src_m.row(p), src_sq[p], m, sq_norms, out);
+                    }
                 })
-                .collect();
+            }
+            // invariant: documented precondition — a dataset's splits share
+            // one backing (`Dataset::validate`, the artifact loader).
+            _ => panic!("pivot and target points must share a feature backing"),
         }
-        parallel::par_flat_map_chunks(pivots, 2, |_, chunk| {
-            chunk
-                .iter()
-                .map(|&p| {
-                    let mut out = Vec::new();
-                    self.dense_row_to_all_cached_into_with(
-                        backend,
-                        m.row(p),
-                        sq_norms[p],
-                        m,
-                        sq_norms,
-                        &mut out,
-                    );
-                    out
-                })
-                .collect()
-        })
     }
+}
+
+/// One split's feature rows as [`Distance::point_to_all_many`] reads them,
+/// with their cached squared row norms.
+#[derive(Debug, Clone, Copy)]
+pub enum Points<'a> {
+    /// Sparse rows plus their column-major companion.
+    Sparse {
+        /// Row-major rows (pivots are read from here).
+        csr: &'a CsrMatrix,
+        /// Column-major index (targets are scanned through it).
+        csc: &'a CscIndex,
+        /// Cached squared row norms.
+        sq_norms: &'a [f64],
+    },
+    /// Dense rows.
+    Dense {
+        /// Row-major rows.
+        m: &'a DenseMatrix,
+        /// Cached squared row norms.
+        sq_norms: &'a [f64],
+    },
+}
+
+/// The batching rule: fewer pivots than workers → run each query through
+/// its sharded kernel (`shard = true`) one after another; otherwise split
+/// the pivots over workers, each running the serial kernel
+/// (`shard = false`), so pivot-level workers never nest shard-level ones.
+/// `query(pivot, shard, scratch, out)` fills `out` with one pivot's
+/// distances; each serial stretch reuses one scratch.
+fn batch<F>(pivots: &[usize], query: F) -> Vec<Vec<f64>>
+where
+    F: Fn(usize, bool, &mut DistanceScratch, &mut Vec<f64>) + Sync,
+{
+    let run = |chunk: &[usize], shard: bool| -> Vec<Vec<f64>> {
+        let mut scratch = DistanceScratch::new();
+        chunk
+            .iter()
+            .map(|&p| {
+                let mut out = Vec::new();
+                query(p, shard, &mut scratch, &mut out);
+                out
+            })
+            .collect()
+    };
+    if pivots.len() < parallel::num_threads() {
+        return run(pivots, true);
+    }
+    parallel::par_flat_map_chunks(pivots, 2, |_, chunk| run(chunk, false))
 }
 
 /// Cosine distance from precomputed dot product and squared norms.
@@ -633,6 +527,37 @@ mod tests {
         assert!((got - want).abs() < 1e-6);
     }
 
+    /// Naive sparse oracle from row `pivot` of `m` to every row of `m`.
+    fn naive(dist: Distance, m: &CsrMatrix, pivot: usize, norms: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        dist.sparse_row_to_all_naive_into(&m.row(pivot), norms[pivot], m, norms, &mut out);
+        out
+    }
+
+    /// Serial indexed kernel from row `pivot` of `m` to every row of `m`.
+    fn indexed(
+        dist: Distance,
+        m: &CsrMatrix,
+        index: &CscIndex,
+        pivot: usize,
+        norms: &[f64],
+        scratch: &mut DistanceScratch,
+        out: &mut Vec<f64>,
+    ) {
+        dist.sparse_row_to_all_indexed_into(
+            &m.row(pivot),
+            norms[pivot],
+            index,
+            norms,
+            scratch,
+            out,
+        );
+    }
+
+    fn sparse_points<'a>(m: &'a CsrMatrix, index: &'a CscIndex, norms: &'a [f64]) -> Points<'a> {
+        Points::Sparse { csr: m, csc: index, sq_norms: norms }
+    }
+
     #[test]
     fn point_to_all_matches_pairwise_sparse() {
         let rows = vec![
@@ -644,7 +569,7 @@ mod tests {
         let m = CsrMatrix::from_rows(&rows, 8);
         let norms = m.row_sq_norms();
         for dist in [Distance::Cosine, Distance::Euclidean] {
-            let all = dist.sparse_point_to_all(&m, 0, &norms);
+            let all = naive(dist, &m, 0, &norms);
             for (r, row) in rows.iter().enumerate() {
                 let pair = dist.sparse(&rows[0].as_row(), &row.as_row());
                 assert!((all[r] - pair).abs() < 1e-9, "{dist:?} row {r}");
@@ -652,14 +577,17 @@ mod tests {
         }
     }
 
+    /// The scalar dense oracle on cached norms is bit-identical to the
+    /// per-pair distance, which re-derives both norms.
     #[test]
     fn dense_point_to_all_matches_pairwise() {
         let m = DenseMatrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]);
+        let norms = m.row_sq_norms();
+        let mut all = Vec::new();
         for dist in [Distance::Cosine, Distance::Euclidean] {
-            let all = dist.dense_point_to_all(&m, 2);
+            dist.dense_row_to_all_naive_into(m.row(2), norms[2], &m, &norms, &mut all);
             for (r, &a) in all.iter().enumerate() {
-                let pair = dist.dense(m.row(2), m.row(r));
-                assert!((a - pair).abs() < 1e-9);
+                assert_eq!(a, dist.dense(m.row(2), m.row(r)), "{dist:?} row {r}");
             }
         }
     }
@@ -672,8 +600,9 @@ mod tests {
         let norms = valid.row_sq_norms();
         let pivot = train.row(0);
         let pivot_sq = pivot.sq_norm();
+        let mut all = Vec::new();
         for dist in [Distance::Cosine, Distance::Euclidean] {
-            let all = dist.sparse_row_to_all(&pivot, pivot_sq, &valid, &norms);
+            dist.sparse_row_to_all_naive_into(&pivot, pivot_sq, &valid, &norms, &mut all);
             for (r, row) in valid_rows.iter().enumerate() {
                 let pair = dist.sparse(&pivot, &row.as_row());
                 assert!((all[r] - pair).abs() < 1e-9);
@@ -681,12 +610,16 @@ mod tests {
         }
     }
 
+    /// The blocked dense kernel from an arbitrary pivot vector stays within
+    /// 1e-9 of the per-pair distance.
     #[test]
     fn dense_row_to_all_matches() {
         let m = DenseMatrix::from_rows(&[vec![1.0, 0.0], vec![0.5, 0.5]]);
+        let norms = m.row_sq_norms();
         let pivot = [0.0f32, 1.0];
+        let mut all = Vec::new();
         for dist in [Distance::Cosine, Distance::Euclidean] {
-            let all = dist.dense_row_to_all(&pivot, &m);
+            dist.dense_row_to_all_into(&pivot, 1.0, &m, &norms, &mut all);
             for (r, &a) in all.iter().enumerate() {
                 assert!((a - dist.dense(&pivot, m.row(r))).abs() < 1e-9);
             }
@@ -715,19 +648,11 @@ mod tests {
         let norms = m.row_sq_norms();
         let index = CscIndex::from_csr(&m);
         let mut scratch = DistanceScratch::new();
-        let mut indexed = Vec::new();
+        let mut out = Vec::new();
         for dist in [Distance::Cosine, Distance::Euclidean] {
             for pivot in 0..m.n_rows() {
-                let naive = dist.sparse_point_to_all(&m, pivot, &norms);
-                dist.sparse_point_to_all_indexed_into(
-                    &m,
-                    &index,
-                    pivot,
-                    &norms,
-                    &mut scratch,
-                    &mut indexed,
-                );
-                assert_eq!(naive, indexed, "{dist:?} pivot {pivot}");
+                indexed(dist, &m, &index, pivot, &norms, &mut scratch, &mut out);
+                assert_eq!(naive(dist, &m, pivot, &norms), out, "{dist:?} pivot {pivot}");
             }
         }
     }
@@ -747,26 +672,19 @@ mod tests {
         let norms = m.row_sq_norms();
         let index = CscIndex::from_csr(&m);
         let mut scratch = DistanceScratch::new();
-        let mut indexed = Vec::new();
+        let mut out = Vec::new();
         for dist in [Distance::Cosine, Distance::Euclidean] {
             for pivot in 0..m.n_rows() {
-                let naive = dist.sparse_point_to_all(&m, pivot, &norms);
-                dist.sparse_point_to_all_indexed_into(
-                    &m,
-                    &index,
-                    pivot,
-                    &norms,
-                    &mut scratch,
-                    &mut indexed,
-                );
-                for (r, (&a, &b)) in naive.iter().zip(&indexed).enumerate() {
+                let naive = naive(dist, &m, pivot, &norms);
+                indexed(dist, &m, &index, pivot, &norms, &mut scratch, &mut out);
+                for (r, (&a, &b)) in naive.iter().zip(&out).enumerate() {
                     assert!(a.is_finite(), "{dist:?} {pivot}->{r} not finite");
                     assert_eq!(a, b, "{dist:?} {pivot}->{r}");
                 }
             }
         }
         // The documented zero-vector convention survives both kernels.
-        let z_to_all = Distance::Cosine.sparse_point_to_all(&m, 0, &norms);
+        let z_to_all = naive(Distance::Cosine, &m, 0, &norms);
         assert_eq!(z_to_all[0], 0.0); // zero vs itself
         assert_eq!(z_to_all[2], 0.0); // zero vs the other zero row
         assert_eq!(z_to_all[1], 1.0); // zero vs non-zero
@@ -783,12 +701,13 @@ mod tests {
         let m = CsrMatrix::from_rows(&rows, 8);
         let norms = m.row_sq_norms();
         let index = CscIndex::from_csr(&m);
+        let points = sparse_points(&m, &index, &norms);
         let pivots = [3usize, 0, 2, 1, 3];
         for dist in [Distance::Cosine, Distance::Euclidean] {
-            let batch = dist.sparse_point_to_all_many(&m, &norms, &pivots, &index, &norms);
+            let batch = dist.point_to_all_many(points, &pivots, points);
             assert_eq!(batch.len(), pivots.len());
             for (k, &p) in pivots.iter().enumerate() {
-                assert_eq!(batch[k], dist.sparse_point_to_all(&m, p, &norms), "pivot {p}");
+                assert_eq!(batch[k], naive(dist, &m, p, &norms), "pivot {p}");
             }
         }
     }
@@ -803,11 +722,17 @@ mod tests {
         let valid_norms = valid.row_sq_norms();
         let index = CscIndex::from_csr(&valid);
         let mut scratch = DistanceScratch::new();
-        let mut indexed = Vec::new();
+        let (mut naive, mut indexed) = (Vec::new(), Vec::new());
         for dist in [Distance::Cosine, Distance::Euclidean] {
             for (p, &pivot_sq) in train_norms.iter().enumerate() {
                 let pivot = train.row(p);
-                let naive = dist.sparse_row_to_all(&pivot, pivot_sq, &valid, &valid_norms);
+                dist.sparse_row_to_all_naive_into(
+                    &pivot,
+                    pivot_sq,
+                    &valid,
+                    &valid_norms,
+                    &mut naive,
+                );
                 dist.sparse_row_to_all_indexed_into(
                     &pivot,
                     pivot_sq,
@@ -827,7 +752,7 @@ mod tests {
         let m = CsrMatrix::from_rows(&rows, 4);
         let norms = m.row_sq_norms();
         let mut out = vec![99.0; 17]; // stale content must be discarded
-        Distance::Cosine.sparse_point_to_all_into(&m, 0, &norms, &mut out);
+        Distance::Cosine.sparse_row_to_all_naive_into(&m.row(0), norms[0], &m, &norms, &mut out);
         assert_eq!(out.len(), 2);
         assert!(out[0].abs() < 1e-12);
     }
@@ -859,18 +784,11 @@ mod tests {
         let (mut serial, mut sharded) = (Vec::new(), Vec::new());
         for dist in [Distance::Cosine, Distance::Euclidean] {
             for pivot in [0usize, 17, n - 1] {
-                dist.sparse_point_to_all_indexed_into(
-                    &m,
+                indexed(dist, &m, &index, pivot, &norms, &mut scratch, &mut serial);
+                dist.sparse_row_to_all_indexed_sharded_into(
+                    &m.row(pivot),
+                    norms[pivot],
                     &index,
-                    pivot,
-                    &norms,
-                    &mut scratch,
-                    &mut serial,
-                );
-                dist.sparse_point_to_all_indexed_sharded_into(
-                    &m,
-                    &index,
-                    pivot,
                     &norms,
                     &mut scratch,
                     &mut sharded,
@@ -890,18 +808,11 @@ mod tests {
         let mut scratch = DistanceScratch::new();
         let (mut serial, mut sharded) = (Vec::new(), Vec::new());
         for pivot in 0..rows.len() {
-            Distance::Cosine.sparse_point_to_all_indexed_into(
-                &m,
+            indexed(Distance::Cosine, &m, &index, pivot, &norms, &mut scratch, &mut serial);
+            Distance::Cosine.sparse_row_to_all_indexed_sharded_into(
+                &m.row(pivot),
+                norms[pivot],
                 &index,
-                pivot,
-                &norms,
-                &mut scratch,
-                &mut serial,
-            );
-            Distance::Cosine.sparse_point_to_all_indexed_sharded_into(
-                &m,
-                &index,
-                pivot,
                 &norms,
                 &mut scratch,
                 &mut sharded,
@@ -910,9 +821,9 @@ mod tests {
         }
     }
 
-    /// Dense: blocked backend stays within the documented 1e-9 relative
-    /// tolerance of scalar, and the sharded kernel is bit-identical to the
-    /// serial kernel for the same backend.
+    /// Dense: the blocked kernel stays within the documented 1e-9 relative
+    /// tolerance of the scalar oracle, and the sharded kernel is
+    /// bit-identical to the serial one.
     #[test]
     fn dense_backend_and_sharded_contracts() {
         let n = MIN_SHARDED_ROWS + 33;
@@ -928,53 +839,23 @@ mod tests {
         let (mut scalar, mut blocked, mut sharded) = (Vec::new(), Vec::new(), Vec::new());
         for dist in [Distance::Cosine, Distance::Euclidean] {
             for pivot in [0usize, n / 2] {
-                dist.dense_row_to_all_cached_into_with(
-                    DenseBackend::Scalar,
-                    m.row(pivot),
-                    norms[pivot],
-                    &m,
-                    &norms,
-                    &mut scalar,
-                );
-                dist.dense_row_to_all_cached_into_with(
-                    DenseBackend::Blocked,
-                    m.row(pivot),
-                    norms[pivot],
-                    &m,
-                    &norms,
-                    &mut blocked,
-                );
+                let (row, sq) = (m.row(pivot), norms[pivot]);
+                dist.dense_row_to_all_naive_into(row, sq, &m, &norms, &mut scalar);
+                dist.dense_row_to_all_into(row, sq, &m, &norms, &mut blocked);
                 for (r, (&a, &b)) in scalar.iter().zip(&blocked).enumerate() {
                     assert!(
                         (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
                         "{dist:?} pivot {pivot} row {r}: {a} vs {b}"
                     );
                 }
-                for backend in [DenseBackend::Blocked, DenseBackend::Scalar] {
-                    dist.dense_row_to_all_cached_into_with(
-                        backend,
-                        m.row(pivot),
-                        norms[pivot],
-                        &m,
-                        &norms,
-                        &mut blocked,
-                    );
-                    dist.dense_row_to_all_sharded_into(
-                        backend,
-                        m.row(pivot),
-                        norms[pivot],
-                        &m,
-                        &norms,
-                        &mut sharded,
-                    );
-                    assert_eq!(blocked, sharded, "{dist:?} {backend:?} pivot {pivot}");
-                }
+                dist.dense_row_to_all_sharded_into(row, sq, &m, &norms, &mut sharded);
+                assert_eq!(blocked, sharded, "{dist:?} pivot {pivot}");
             }
         }
     }
 
     /// Few-pivot batches route through the sharded kernels and must agree
-    /// bitwise with the pivot-partitioned path.
+    /// bitwise with the per-pivot serial kernels, for both backings.
     #[test]
     fn few_pivot_batches_match_per_pivot() {
         let rows = vec![
@@ -986,46 +867,50 @@ mod tests {
         let m = CsrMatrix::from_rows(&rows, 8);
         let norms = m.row_sq_norms();
         let index = CscIndex::from_csr(&m);
+        let points = sparse_points(&m, &index, &norms);
+        let dm = DenseMatrix::from_rows(&[vec![1.0, 0.0], vec![0.5, 0.5], vec![0.0, 1.0]]);
+        let dnorms = dm.row_sq_norms();
+        let dpoints = Points::Dense { m: &dm, sq_norms: &dnorms };
         for dist in [Distance::Cosine, Distance::Euclidean] {
             // One pivot is always below num_threads() when threads > 1 and
             // equal when threads == 1; either way the result is pinned to
             // the per-pivot serial reference.
-            let batch = dist.sparse_point_to_all_many(&m, &norms, &[1], &index, &norms);
+            let batch = dist.point_to_all_many(points, &[1], points);
             assert_eq!(batch.len(), 1);
-            assert_eq!(batch[0], dist.sparse_point_to_all(&m, 1, &norms));
-            let dm = DenseMatrix::from_rows(&[vec![1.0, 0.0], vec![0.5, 0.5], vec![0.0, 1.0]]);
-            let dnorms = dm.row_sq_norms();
-            for backend in [DenseBackend::Blocked, DenseBackend::Scalar] {
-                let batch = dist.dense_point_to_all_many_with(backend, &dm, &[2], &dnorms);
-                let mut one = Vec::new();
-                dist.dense_row_to_all_cached_into_with(
-                    backend,
-                    dm.row(2),
-                    dnorms[2],
-                    &dm,
-                    &dnorms,
-                    &mut one,
-                );
-                assert_eq!(batch[0], one, "{dist:?} {backend:?}");
+            assert_eq!(batch[0], naive(dist, &m, 1, &norms));
+            let batch = dist.point_to_all_many(dpoints, &[2], dpoints);
+            let mut one = Vec::new();
+            dist.dense_row_to_all_into(dm.row(2), dnorms[2], &dm, &dnorms, &mut one);
+            assert_eq!(batch[0], one, "{dist:?}");
+        }
+    }
+
+    /// Dense rows shorter than `DOT_LANES` never enter the lane body, so
+    /// the batched blocked path matches the scalar oracle bitwise there.
+    #[test]
+    fn dense_cached_matches_plain() {
+        let m = DenseMatrix::from_rows(&[vec![1.0, 0.0], vec![0.5, 0.5], vec![0.0, 0.0]]);
+        let norms = m.row_sq_norms();
+        let points = Points::Dense { m: &m, sq_norms: &norms };
+        let mut out = Vec::new();
+        for dist in [Distance::Cosine, Distance::Euclidean] {
+            let batch = dist.point_to_all_many(points, &[2, 0], points);
+            for (k, p) in [2usize, 0].into_iter().enumerate() {
+                dist.dense_row_to_all_naive_into(m.row(p), norms[p], &m, &norms, &mut out);
+                assert_eq!(batch[k], out, "{dist:?} pivot {p}");
             }
         }
     }
 
     #[test]
-    fn dense_cached_matches_plain() {
-        let m = DenseMatrix::from_rows(&[vec![1.0, 0.0], vec![0.5, 0.5], vec![0.0, 0.0]]);
+    #[should_panic(expected = "share a feature backing")]
+    fn mixed_backings_are_rejected() {
+        let m = CsrMatrix::from_rows(&[sv(&[(0, 1.0)], 2)], 2);
         let norms = m.row_sq_norms();
-        let mut out = Vec::new();
-        for dist in [Distance::Cosine, Distance::Euclidean] {
-            for p in 0..m.n_rows() {
-                let plain = dist.dense_point_to_all(&m, p);
-                dist.dense_row_to_all_cached_into(m.row(p), norms[p], &m, &norms, &mut out);
-                assert_eq!(plain, out, "{dist:?} pivot {p}");
-            }
-            let batch = dist.dense_point_to_all_many(&m, &[2, 0], &norms);
-            assert_eq!(batch[0], dist.dense_point_to_all(&m, 2));
-            assert_eq!(batch[1], dist.dense_point_to_all(&m, 0));
-        }
+        let index = CscIndex::from_csr(&m);
+        let dm = DenseMatrix::from_rows(&[vec![1.0, 0.0]]);
+        let dense = Points::Dense { m: &dm, sq_norms: &norms };
+        Distance::Cosine.point_to_all_many(sparse_points(&m, &index, &norms), &[0], dense);
     }
 
     proptest! {

@@ -24,7 +24,7 @@ pub mod stats;
 
 pub use csc::CscIndex;
 pub use csr::{CsrMatrix, SparseVec};
-pub use dense::{DenseBackend, DenseMatrix};
-pub use distance::{Distance, DistanceScratch};
+pub use dense::DenseMatrix;
+pub use distance::{Distance, DistanceScratch, Points};
 pub use index::InvertedIndex;
 pub use rng::DetRng;

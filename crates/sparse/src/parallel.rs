@@ -309,17 +309,9 @@ where
 /// are bit-identical to the serial loop under any worker count. There is
 /// no [`MIN_PARALLEL_ITEMS`] threshold: callers hand this scheduler
 /// coarse tasks where per-item work dwarfs the queue lock.
-pub fn par_for_each_stealing<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    par_for_each_stealing_with(items, num_threads(), f)
-}
-
-/// [`par_for_each_stealing`] with an explicit worker count (clamped to
-/// `1..=`[`MAX_THREADS`]), for callers that manage their own worker
-/// budget — e.g. a session pool pinning a determinism test to fixed
+///
+/// `workers` is clamped to `1..=`[`MAX_THREADS`]: callers manage their own
+/// worker budget — e.g. a session pool pinning a determinism test to fixed
 /// counts independent of the ambient `NEMO_THREADS` setting.
 pub fn par_for_each_stealing_with<T, F>(items: &mut [T], workers: usize, f: F)
 where
@@ -518,17 +510,6 @@ mod tests {
             item.1 = acc | 1;
         });
         assert!(items.iter().all(|&(_, done)| done != 0));
-    }
-
-    #[test]
-    fn stealing_default_matches_serial() {
-        let mut a: Vec<u32> = (0..500).collect();
-        let mut b = a.clone();
-        par_for_each_stealing(&mut a, |i, x| *x = x.wrapping_mul(3).wrapping_add(i as u32));
-        for (i, x) in b.iter_mut().enumerate() {
-            *x = x.wrapping_mul(3).wrapping_add(i as u32);
-        }
-        assert_eq!(a, b);
     }
 
     #[test]

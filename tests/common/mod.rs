@@ -1,5 +1,7 @@
-//! Whole-session driver shared by the differential suites that pin a
-//! production path against its reference oracle.
+//! Whole-session driver and thread-count harness shared by the
+//! differential suites that pin a production path against its reference
+//! oracle. Each suite uses a subset of the helpers.
+#![allow(dead_code)]
 
 use nemo::core::config::IdpConfig;
 use nemo::core::idp::Selector;
@@ -7,6 +9,28 @@ use nemo::core::oracle::SimulatedUser;
 use nemo::core::pipeline::LearningPipeline;
 use nemo::core::session::Session;
 use nemo::data::Dataset;
+use std::sync::Mutex;
+
+/// Serializes the tests that mutate `NEMO_THREADS`. The kernels under
+/// test are thread-count-invariant (that is the property being checked),
+/// so concurrent *readers* in other tests are unaffected — the lock only
+/// keeps the mutating tests from clobbering each other's settings.
+static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+/// Run `f` with `NEMO_THREADS` set to each value in turn, restoring the
+/// prior setting afterwards.
+pub fn with_thread_counts(counts: &[usize], mut f: impl FnMut(usize)) {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let saved = std::env::var("NEMO_THREADS").ok();
+    for &t in counts {
+        std::env::set_var("NEMO_THREADS", t.to_string());
+        f(t);
+    }
+    match saved {
+        Some(v) => std::env::set_var("NEMO_THREADS", v),
+        None => std::env::remove_var("NEMO_THREADS"),
+    }
+}
 
 /// One full run: per-round selections, per-round tuned `p` bits, and the
 /// final test and valid score bits.
