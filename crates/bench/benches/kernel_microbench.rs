@@ -24,7 +24,7 @@ use nemo_core::contextualizer::Contextualizer;
 use nemo_core::idp::{IdpSession, ModelOutputs, RandomSelector, SelectionView};
 use nemo_core::oracle::{SimulatedUser, User};
 use nemo_core::pipeline::StandardPipeline;
-use nemo_core::reference::{self, FullRescoreSeu};
+use nemo_core::reference;
 use nemo_core::session::{Session, SeuAggregates};
 use nemo_core::seu::SeuSelector;
 use nemo_core::{NemoSystem, PoolConfig, RoundJob, SessionPool, SharedArtifacts};
@@ -286,8 +286,9 @@ fn record_trajectory(ds: &Dataset) -> (Vec<ModelOutputs>, Lineage) {
 }
 
 /// Measure aggregate maintenance + full-pool scoring under both modes
-/// over a recorded real trajectory.
-fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> String {
+/// over a recorded real trajectory. Also returns the incremental mode's
+/// per-round time: the production SEU round (delta sync + table rescore).
+fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> (String, f64) {
     // Warm both paths once, then measure.
     let _ = replay(ds, trajectory, false);
     let _ = replay(ds, trajectory, true);
@@ -325,7 +326,7 @@ fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> String {
         );
     }
 
-    format!(
+    let json = format!(
         concat!(
             "{{\"rounds\": {}, \"full_rebuild_ns\": {:.0}, \"incremental_ns\": {:.0}, ",
             "\"speedup\": {:.4}, \"delta_syncs\": {}, \"rebuild_fallbacks\": {}, ",
@@ -339,165 +340,8 @@ fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> String {
         dirty_majority + drift_bound,
         dirty_majority,
         drift_bound,
-    )
-}
-
-/// Replay a trajectory scoring the full pool each round through the
-/// dirty-set cache or the full-rescore oracle [`FullRescoreSeu`] (both on
-/// top of the same incremental aggregate sync — the difference under test
-/// is purely the scoring).
-fn replay_scoring(
-    ds: &Dataset,
-    trajectory: &[ModelOutputs],
-    dirty: bool,
-) -> (LoopStats, SeuSelector) {
-    let mut selector = SeuSelector::new();
-    let excluded = vec![false; ds.train.n()];
-    let all: Vec<usize> = (0..ds.train.n()).collect();
-    let lineage = nemo_lf::Lineage::new();
-    let matrix = LabelMatrix::new(ds.train.n());
-    let mut cache = SeuAggregates::new(ds, &trajectory[0]);
-    let mut checksum = 0.0;
-    let start = Instant::now();
-    for outputs in &trajectory[1..] {
-        cache.sync(ds, outputs);
-        let view = SelectionView {
-            ds,
-            lineage: &lineage,
-            matrix: &matrix,
-            outputs,
-            excluded: &excluded,
-            iteration: 0,
-            aggs: Some(&cache),
-        };
-        checksum += if dirty {
-            let scores = selector.scores_cached(&view).expect("aggregates present");
-            scores.iter().copied().filter(|s| s.is_finite()).sum::<f64>()
-        } else {
-            let scores = FullRescoreSeu::default().scores(&view, &all);
-            scores.iter().copied().filter(|s| s.is_finite()).sum::<f64>()
-        };
-    }
-    let total_ns = start.elapsed().as_nanos() as f64;
-    (LoopStats { total_ns, rounds: trajectory.len() - 1, checksum }, selector)
-}
-
-/// Synthetic *localized* trajectory: each round perturbs the model state
-/// of a handful of examples — the paper's "a development cycle perturbs
-/// a handful of primitives" pattern (skip rounds and explorer queries
-/// are the degenerate all-clean case).
-fn localized_trajectory(ds: &Dataset, start: &ModelOutputs, rounds: usize) -> Vec<ModelOutputs> {
-    use nemo_labelmodel::Posterior;
-    let mut rng = DetRng::new(23);
-    let n = ds.train.n();
-    let mut trajectory = vec![start.clone()];
-    for _ in 0..rounds {
-        let prev = trajectory.last().expect("non-empty");
-        let mut p_pos: Vec<f64> = (0..n).map(|i| prev.train_posterior.p_pos(i)).collect();
-        let mut probs = prev.train_probs.clone();
-        for _ in 0..4 {
-            let i = rng.index(n);
-            p_pos[i] = 0.01 + 0.98 * rng.uniform();
-            probs[i] = rng.uniform();
-        }
-        trajectory.push(ModelOutputs {
-            train_posterior: Posterior::new(p_pos),
-            train_probs: probs,
-            valid_pred: prev.valid_pred.clone(),
-            test_pred: prev.test_pred.clone(),
-            chosen_p: None,
-        });
-    }
-    trajectory
-}
-
-/// Dirty-set SEU scoring vs the per-round full-pool rescore, on the real
-/// session trajectory (dense change: every covered posterior moves each
-/// round, so the cache's exact-bail keeps parity) and on the localized
-/// trajectory (sparse change: incidence-level delta application wins).
-fn seu_dirty_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> (String, f64, f64) {
-    let localized = localized_trajectory(ds, &trajectory[trajectory.len() - 1], 25);
-
-    let measure = |traj: &[ModelOutputs]| {
-        let _ = replay_scoring(ds, traj, false);
-        let _ = replay_scoring(ds, traj, true);
-        let (full, _) = replay_scoring(ds, traj, false);
-        let (dirty, sel) = replay_scoring(ds, traj, true);
-        assert!(
-            (full.checksum - dirty.checksum).abs() <= 1e-9 * full.checksum.abs().max(1.0),
-            "dirty-set replay diverged: {} vs {}",
-            full.checksum,
-            dirty.checksum
-        );
-        (full, dirty, sel.dirty_stats())
-    };
-    let (sess_full, sess_dirty, sess_stats) = measure(trajectory);
-    let (loc_full, loc_dirty, loc_stats) = measure(&localized);
-
-    let sess_speedup = sess_full.total_ns / sess_dirty.total_ns;
-    let loc_speedup = loc_full.total_ns / loc_dirty.total_ns;
-    println!("\nDirty-set SEU scoring vs full-pool rescore (same incremental aggregates):");
-    println!(
-        "  session trajectory   : full {} -> dirty {} per round  ({sess_speedup:.2}x; \
-         {} delta rounds, {} exact)",
-        human(sess_full.total_ns / sess_full.rounds as f64),
-        human(sess_dirty.total_ns / sess_dirty.rounds as f64),
-        sess_stats.delta_rounds,
-        sess_stats.full_rescores,
     );
-    println!(
-        "  localized trajectory : full {} -> dirty {} per round  ({loc_speedup:.2}x; \
-         {} incidence updates vs {} full-rescore slots)",
-        human(loc_full.total_ns / loc_full.rounds as f64),
-        human(loc_dirty.total_ns / loc_dirty.rounds as f64),
-        loc_stats.incidence_updates,
-        loc_stats.delta_rounds as usize * ds.train.corpus.total_postings(),
-    );
-
-    let json = format!(
-        concat!(
-            "{{\"rounds\": {}, \"session_full_rescore_ns\": {:.0}, \"session_dirty_ns\": {:.0}, ",
-            "\"session_speedup\": {:.4}, \"session_delta_rounds\": {}, ",
-            "\"session_exact_rounds\": {}, ",
-            "\"localized_full_rescore_ns\": {:.0}, \"localized_dirty_ns\": {:.0}, ",
-            "\"localized_speedup\": {:.4}, \"localized_incidence_updates\": {}, ",
-            "\"localized_rows_refreshed\": {}, \"total_postings\": {}}}"
-        ),
-        sess_full.rounds,
-        sess_full.total_ns,
-        sess_dirty.total_ns,
-        sess_speedup,
-        sess_stats.delta_rounds,
-        sess_stats.full_rescores,
-        loc_full.total_ns,
-        loc_dirty.total_ns,
-        loc_speedup,
-        loc_stats.incidence_updates,
-        loc_stats.rows_refreshed,
-        ds.train.corpus.total_postings(),
-    );
-    if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
-        // Session trajectory: the dense-change bail keeps the dirty path
-        // at parity with the full rescore — allow measurement noise only.
-        assert!(
-            sess_dirty.total_ns <= sess_full.total_ns * 1.25,
-            "regression: dirty-set SEU ({}) slower than full rescore ({}) on the session replay",
-            human(sess_dirty.total_ns),
-            human(sess_full.total_ns)
-        );
-        assert!(
-            loc_dirty.total_ns <= loc_full.total_ns,
-            "regression: dirty-set SEU ({}) slower than full rescore ({}) on localized updates",
-            human(loc_dirty.total_ns),
-            human(loc_full.total_ns)
-        );
-    }
-    // Per-round means for the combined-round summary.
-    (
-        json,
-        sess_full.total_ns / sess_full.rounds as f64,
-        sess_dirty.total_ns / sess_dirty.rounds as f64,
-    )
+    (json, incr.total_ns / incr.rounds as f64)
 }
 
 /// Warm-started vs cold percentile tuning with the EM label model: one
@@ -1783,23 +1627,20 @@ fn distance_engine_summary(results: &[BenchResult]) -> String {
 /// Combined contextualized-round headline: what one EM-tuned round cost
 /// before the two incremental paths (stand-alone SEU kernel — the
 /// `seu_fast_path_full_pool` baseline ROADMAP names — plus cold tune_p)
-/// vs after (dirty-set scoring on incremental aggregates plus
-/// warm-started tune_p). The conservative table-rescore SEU baseline is
-/// recorded alongside. With `NEMO_BENCH_ENFORCE` set, a combined round
+/// vs after (the production SEU round — delta-synced aggregates plus the
+/// table rescore, from the `seu_loop` incremental replay — plus
+/// warm-started tune_p). With `NEMO_BENCH_ENFORCE` set, a combined round
 /// slower than the pre-optimization baseline aborts the run.
 fn incremental_round_summary(
     results: &[BenchResult],
-    seu_full_round_ns: f64,
-    seu_dirty_round_ns: f64,
+    seu_round_ns: f64,
     tune_cold_ns: f64,
     tune_warm_ns: f64,
 ) -> String {
     let seu_standalone_ns = mean_of(results, "seu_fast_path_full_pool");
     let combined_cold = seu_standalone_ns + tune_cold_ns;
-    let combined_warm = seu_dirty_round_ns + tune_warm_ns;
+    let combined_warm = seu_round_ns + tune_warm_ns;
     let combined_speedup = combined_cold / combined_warm;
-    let conservative_speedup =
-        (seu_full_round_ns + tune_cold_ns) / (seu_dirty_round_ns + tune_warm_ns);
     println!("\nCombined contextualized round (SEU scoring + EM percentile tuning):");
     println!(
         "  before : {} (stand-alone SEU {} + cold tune_p {})",
@@ -1808,15 +1649,12 @@ fn incremental_round_summary(
         human(tune_cold_ns)
     );
     println!(
-        "  after  : {} (dirty-set SEU {} + warm tune_p {})",
+        "  after  : {} (incremental SEU {} + warm tune_p {})",
         human(combined_warm),
-        human(seu_dirty_round_ns),
+        human(seu_round_ns),
         human(tune_warm_ns)
     );
-    println!(
-        "  speedup: {combined_speedup:.2}x  ({conservative_speedup:.2}x vs the \
-         incremental-aggregates + full-rescore baseline)"
-    );
+    println!("  speedup: {combined_speedup:.2}x");
     if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
         // Committed numbers show ~3x; gate only the sign so single-core
         // CI noise cannot flake the build.
@@ -1831,16 +1669,10 @@ fn incremental_round_summary(
     format!(
         concat!(
             "{{\"standalone_seu_ns\": {:.0}, \"table_rescore_seu_ns\": {:.0}, ",
-            "\"dirty_seu_ns\": {:.0}, \"cold_tune_ns\": {:.0}, \"warm_tune_ns\": {:.0}, ",
-            "\"combined_speedup\": {:.4}, \"conservative_speedup\": {:.4}}}"
+            "\"cold_tune_ns\": {:.0}, \"warm_tune_ns\": {:.0}, ",
+            "\"combined_speedup\": {:.4}}}"
         ),
-        seu_standalone_ns,
-        seu_full_round_ns,
-        seu_dirty_round_ns,
-        tune_cold_ns,
-        tune_warm_ns,
-        combined_speedup,
-        conservative_speedup,
+        seu_standalone_ns, seu_round_ns, tune_cold_ns, tune_warm_ns, combined_speedup,
     )
 }
 
@@ -1870,21 +1702,14 @@ fn main() {
     let artifact_json = artifact_load_bench(profile, &mut results);
     let pool_json = session_pool_bench(&ds, &mut results);
     let iws_rank_json = iws_rank_bench(&ds, &mut results);
-    let loop_json = seu_loop_bench(&ds, &trajectory);
-    let (dirty_json, seu_full_round_ns, seu_dirty_round_ns) = seu_dirty_bench(&ds, &trajectory);
+    let (loop_json, seu_round_ns) = seu_loop_bench(&ds, &trajectory);
     let refine_json = refine_cache_bench(&ds, &session_lineage, &mut results);
     let cow_json = matrix_cow_bench(&ds, &session_lineage, &mut results);
     let dedup_json = tune_p_dedup_bench(&ds, &session_lineage, &mut results);
     let (warm_json, tune_cold_ns, tune_warm_ns) =
         tune_p_warm_bench(&ds, &session_lineage, &mut results);
 
-    let round_json = incremental_round_summary(
-        &results,
-        seu_full_round_ns,
-        seu_dirty_round_ns,
-        tune_cold_ns,
-        tune_warm_ns,
-    );
+    let round_json = incremental_round_summary(&results, seu_round_ns, tune_cold_ns, tune_warm_ns);
 
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"profile\": \"{}\",\n", profile.name()));
@@ -1910,7 +1735,6 @@ fn main() {
     json.push_str(&format!("  \"session_pool\": {pool_json},\n"));
     json.push_str(&format!("  \"iws_rank\": {iws_rank_json},\n"));
     json.push_str(&format!("  \"seu_loop\": {loop_json},\n"));
-    json.push_str(&format!("  \"seu_dirty\": {dirty_json},\n"));
     json.push_str(&format!("  \"refine_cache\": {refine_json},\n"));
     json.push_str(&format!("  \"matrix_cow\": {cow_json},\n"));
     json.push_str(&format!("  \"tune_p_dedup\": {dedup_json},\n"));

@@ -14,9 +14,8 @@
 //! - the contextualizer's per-LF distance tables are re-registered in one
 //!   batch on the next learning round (batched registration is
 //!   bit-identical to incremental registration, differential-tested);
-//! - the refined-column cache and the SEU score cache start cold and
-//!   self-invalidate through their keys (fresh column tokens, fresh
-//!   aggregate-cache identity), then refill to the same values.
+//! - the refined-column cache starts cold and self-invalidates through
+//!   its keys (fresh column tokens), then refills to the same values.
 //!
 //! `tests/session_checkpoint.rs` proves the resulting sessions make the
 //! same selections, tune the same percentiles, and produce bit-identical

@@ -123,6 +123,21 @@ pub struct IdpConfig {
     pub checkpoint_every: Option<usize>,
 }
 
+impl IdpConfig {
+    /// Check the fields a session cannot run with, returning the first
+    /// offending field's name — the one check behind both
+    /// [`crate::SessionPool::admit`] and [`crate::Session::restore`], so
+    /// a pool never admits a tenant it could not restore after evicting
+    /// it. The drivers evaluate every `eval_every` rounds (`(t + 1) %
+    /// eval_every`), so a zero cadence would panic the loop.
+    pub(crate) fn validate(&self) -> Result<(), &'static str> {
+        if self.eval_every == 0 {
+            return Err("eval_every");
+        }
+        Ok(())
+    }
+}
+
 impl Default for IdpConfig {
     fn default() -> Self {
         Self {

@@ -123,8 +123,9 @@ pub fn engine_for(config: &IdpConfig) -> Box<dyn SelectionEngine> {
 /// `SelectionStrategy` switch). Each round selects the development
 /// example with the highest expected SEU utility, asks the user to
 /// author LFs for it, and submits them through the contextualized
-/// pipeline. All engine state beyond the session itself is the
-/// [`SeuSelector`]'s derived score cache, rebuilt cold on restore.
+/// pipeline. The engine holds no state beyond the session itself and the
+/// [`SeuSelector`]'s configuration: every round rescores the available
+/// pool from the session's aggregates.
 #[derive(Debug, Clone, Default)]
 pub struct SeuEngine {
     selector: SeuSelector,
@@ -137,7 +138,7 @@ impl SeuEngine {
     }
 
     /// An engine over an explicitly configured selector (ablations:
-    /// user-model weighting, utility variant, scoring path).
+    /// user-model weighting, utility variant).
     pub fn with_selector(selector: SeuSelector) -> Self {
         Self { selector }
     }

@@ -89,11 +89,9 @@ pub struct SelectionView<'a> {
     pub excluded: &'a [bool],
     /// Current iteration (0-based).
     pub iteration: usize,
-    /// The incrementally-maintained SEU aggregate cache (with its dirty
-    /// log) consistent with `outputs`, when the view comes from a
-    /// [`Session`]. `None` makes aggregate-consuming selectors rebuild
-    /// from scratch — and disables dirty-set score caching, which needs
-    /// the generation/dirty-log protocol to revalidate.
+    /// The incrementally-maintained SEU aggregate cache consistent with
+    /// `outputs`, when the view comes from a [`Session`]. `None` makes
+    /// aggregate-consuming selectors rebuild the aggregates from scratch.
     pub aggs: Option<&'a SeuAggregates>,
 }
 

@@ -220,6 +220,13 @@ pub enum PoolError {
         /// The underlying validation error.
         source: RestoreError,
     },
+    /// [`SessionPool::admit`] was given a configuration no session can
+    /// run with (the same check [`crate::Session::restore`] applies, so
+    /// an admitted tenant stays restorable after eviction).
+    InvalidConfig {
+        /// The offending [`IdpConfig`] field.
+        field: &'static str,
+    },
     /// The [`CheckpointStore`] failed.
     Store {
         /// The raw id of the session.
@@ -245,6 +252,9 @@ impl fmt::Display for PoolError {
             }
             PoolError::Restore { id, source } => {
                 write!(f, "session {id} failed to restore: {source}")
+            }
+            PoolError::InvalidConfig { field } => {
+                write!(f, "session config field `{field}` holds an out-of-range value")
             }
             PoolError::Store { id, op, reason } => {
                 write!(f, "checkpoint store failed to {op} session {id}: {reason}")
@@ -350,9 +360,12 @@ impl<'a> SessionPool<'a> {
     ///
     /// # Errors
     ///
-    /// [`PoolError::Store`] if making room requires an eviction and the
-    /// store rejects the checkpoint.
+    /// [`PoolError::InvalidConfig`] if `config` is one
+    /// [`crate::Session::restore`] would reject, before any session is
+    /// built or evicted; [`PoolError::Store`] if making room requires an
+    /// eviction and the store rejects the checkpoint.
     pub fn admit(&mut self, config: IdpConfig) -> Result<SessionId, PoolError> {
+        config.validate().map_err(|field| PoolError::InvalidConfig { field })?;
         self.make_room(1)?;
         let engine = engine_for(&config);
         let system = Box::new(NemoSystem::with_components(
@@ -897,6 +910,27 @@ mod tests {
         assert!(pool.is_resident(c));
         assert_eq!(pool.resident_count(), 2);
         assert_eq!(pool.session_count(), 3);
+    }
+
+    #[test]
+    fn admit_rejects_configs_restore_would_reject() {
+        let arts = artifacts();
+        let config = PoolConfig { max_resident: 1, workers: Some(1), ..Default::default() };
+        let mut pool = SessionPool::new(&arts, config);
+        let a = pool.admit(idp(4, 1)).unwrap();
+        // A zero evaluation cadence would be admitted, then fail every
+        // round after its first eviction, when `Session::restore` rejects
+        // its checkpoint. It must be refused up front instead.
+        let zero_cadence = IdpConfig { eval_every: 0, ..idp(4, 2) };
+        assert!(matches!(
+            pool.admit(zero_cadence),
+            Err(PoolError::InvalidConfig { field: "eval_every" })
+        ));
+        // Rejected before making room: nothing was built or evicted.
+        assert_eq!(pool.session_count(), 1);
+        assert!(pool.is_resident(a));
+        assert_eq!(pool.stats().admitted, 1);
+        assert_eq!(pool.stats().evictions, 0);
     }
 
     #[test]

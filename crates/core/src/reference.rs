@@ -8,22 +8,19 @@
 //! `doctrine/switch-differential` lint enforces (docs/ARCHITECTURE.md,
 //! "Doctrine: every fast path has a reference oracle", maps each oracle
 //! to its suite). Agreement is bitwise except where an optimisation
-//! changes the float program: dirty-set delta rounds drift by bounded
-//! rounding steps, and warm-started EM reconverges within its tolerance.
+//! changes the float program: warm-started EM reconverges within its
+//! tolerance, and the blocked dense kernels reassociate their sums.
 //! Under a seed-free estimator (MeTaL triplets, majority vote) warm and
 //! cold fits coincide, so whole sessions agree bit for bit.
 
 use crate::config::{ContextualizerConfig, IdpConfig};
 use crate::contextualizer::{score_classes, Contextualizer, TunedRefinement};
-use crate::idp::{ModelOutputs, SelectionView, Selector};
+use crate::idp::ModelOutputs;
 use crate::pipeline::{end_model_outputs, LearningPipeline, UNIFORM_BALANCE};
-use crate::seu::{select_by, SeuSelector};
-use crate::user_model::UserModelKind;
-use crate::utility::UtilityKind;
 use nemo_data::{Dataset, Features};
 use nemo_labelmodel::{FittedLabelModel, LabelModel};
 use nemo_lf::{LabelMatrix, Lineage, TrackedLf};
-use nemo_sparse::{DetRng, Distance};
+use nemo_sparse::Distance;
 
 /// Distances from each of `pivots` (examples of `src`) to every example of
 /// `target`, one pivot at a time through the naive kernels: the row-major
@@ -150,40 +147,10 @@ pub fn tune_p_per_point(
     ctx.tune_p_warm(raw_train, ds, label_model, prior, per_point)
 }
 
-/// SEU that rebuilds its score table and rescores the whole pool every
-/// round (the pre-dirty-set path) — the oracle for [`SeuSelector`]'s
-/// dirty-set cache. Same decision rule, same RNG draws.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FullRescoreSeu {
-    /// User-model variant.
-    pub user_model: UserModelKind,
-    /// Utility variant.
-    pub utility: UtilityKind,
-}
-
-impl FullRescoreSeu {
-    /// Expected utility of every example in `avail`, in order, from a
-    /// freshly built score table (over the view's session aggregates when
-    /// present, rebuilt ones otherwise).
-    pub fn scores(&self, view: &SelectionView<'_>, avail: &[usize]) -> Vec<f64> {
-        SeuSelector::with(self.user_model, self.utility).full_rescore(view, avail)
-    }
-}
-
-impl Selector for FullRescoreSeu {
-    fn name(&self) -> &'static str {
-        "SEU"
-    }
-
-    fn select(&mut self, view: &SelectionView<'_>, rng: &mut DetRng) -> Option<usize> {
-        select_by(view, rng, |avail| self.scores(view, avail))
-    }
-}
-
 /// [`crate::ContextualizedPipeline`] on every reference arm: naive
 /// registration ([`register_batch_naive`]) and the pre-incremental tuner
-/// ([`tune_p`]). Paired with [`FullRescoreSeu`] it replays a whole
-/// session without any optimisation of the interactive loop.
+/// ([`tune_p`]). Paired with [`crate::SeuSelector`] it replays a whole
+/// session without any optimisation of the contextualized pipeline.
 pub struct ReferencePipeline {
     ctx: Contextualizer,
 }

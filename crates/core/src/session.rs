@@ -32,10 +32,6 @@ use nemo_data::Dataset;
 use nemo_labelmodel::Posterior;
 use nemo_lf::{Label, LabelMatrix, LfColumn, Lineage, PrimitiveLf};
 use nemo_sparse::DetRng;
-// lint: allow(determinism/sync-primitives): process-unique id counter
-// for cache-identity tokens; the ids only gate cache validation, they
-// never order or affect results.
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why a [`SeuAggregates::sync`] fell back to a full rebuild instead of a
 /// delta update.
@@ -87,38 +83,11 @@ pub enum SyncOutcome {
 /// postings of `z` under the cached `psi` (posterior entropies) and `yhat`
 /// (end-model prediction signs) vectors, and those vectors match the
 /// `ModelOutputs` last passed to [`SeuAggregates::sync`].
-///
-/// Beyond the aggregates themselves, the cache keeps a **dirty log**: for
-/// every delta sync since the last full rebuild, the sorted set of
-/// primitives whose aggregate changed, tagged with a monotonically
-/// increasing generation. Downstream caches (the
-/// [`crate::seu::SeuSelector`] score cache) snapshot the generation when
-/// they compute, then ask [`SeuAggregates::dirty_prims_since`] what
-/// changed and revalidate only that — the dirty-set scoring path of
-/// [`crate::seu::SeuSelector::scores_cached`]. The log is cleared at every rebuild
-/// (a rebuild dirties everything, reported as `None`), so its size is
-/// bounded by the drift-rebuild cadence (64 delta syncs).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SeuAggregates {
-    /// Process-unique cache identity, so score caches keyed on
-    /// `(id, generation)` can never mistake one aggregate cache for
-    /// another (sessions and benches construct several).
-    id: u64,
     psi: Vec<f64>,
     yhat: Vec<i8>,
     aggs: Vec<PrimAgg>,
-    /// Bumped on every state change (delta or rebuild).
-    generation: u64,
-    /// `generation` value produced by the most recent full rebuild;
-    /// snapshots older than this predate the rebuild and must be fully
-    /// recomputed.
-    rebuild_generation: u64,
-    /// `(generation, dirty primitives)` per delta sync since the last
-    /// rebuild, in increasing generation order.
-    dirty_log: Vec<(u64, Vec<u32>)>,
-    /// Scratch flags for deduplicating dirty primitives (one slot per
-    /// primitive, cleared after each use).
-    prim_seen: Vec<bool>,
     full_rebuilds: usize,
     rebuilds_dirty_majority: usize,
     rebuilds_drift_bound: usize,
@@ -135,64 +104,25 @@ pub struct SeuAggregates {
 const MAX_DELTA_SYNCS_BETWEEN_REBUILDS: usize = 64;
 
 /// Dirty-majority fallback threshold, as a fraction of total postings:
-/// fall back to a rebuild only when `dirty_slots > 7/8 · nnz(U)`.
+/// fall back to a rebuild only when `dirty_slots ≥ 7/8 · nnz(U)`.
 ///
-/// For the aggregates alone the break-even sits near 1/2 (a delta update
-/// costs ~2 adds per slot vs 1 per slot for a rebuild, and the original
-/// threshold was exactly that). But a rebuild also wipes the dirty log,
-/// which forces every downstream score cache to rescore the *entire*
-/// pool — the dominant per-round cost the dirty-set path exists to avoid.
-/// Charging the rebuild for that lost reuse moves the break-even close to
-/// 1: a delta that touches 60–80% of the slots still preserves partial
-/// score reuse, so only a near-total dirty set justifies rebuilding.
-/// Measured on the quick-profile replay this eliminated the avoidable
-/// `rebuild_fallbacks` the old 1/2 threshold produced (see
-/// `BENCH_kernel.json` `seu_loop.rebuild_fallbacks`).
+/// For the aggregates alone the break-even sits near 1/2: a delta update
+/// costs ~2 adds per slot, a rebuild 1. The value is kept at 7/8 because
+/// it is part of the float program, not only of the cost: it decides
+/// which rounds rebuild and which delta-update, and so how the cached
+/// float sums are rounded and, through them, every score and selection of
+/// a session. Changing it changes trajectories (within the drift bound),
+/// so retuning it is a separate, measured change.
 const DIRTY_MAJORITY_NUM: usize = 7;
 const DIRTY_MAJORITY_DEN: usize = 8;
-
-/// Source of process-unique [`SeuAggregates`] identities.
-// lint: allow(determinism/sync-primitives): identity tokens only decide
-// whether a score cache may validate, never what any path computes.
-static NEXT_AGGS_ID: AtomicU64 = AtomicU64::new(1);
-
-impl Clone for SeuAggregates {
-    /// Clones get a fresh identity: a clone diverges from its source on
-    /// the next sync, so score caches keyed on the source's `(id,
-    /// generation)` must not validate against the copy.
-    fn clone(&self) -> Self {
-        Self {
-            id: NEXT_AGGS_ID.fetch_add(1, Ordering::Relaxed),
-            psi: self.psi.clone(),
-            yhat: self.yhat.clone(),
-            aggs: self.aggs.clone(),
-            generation: self.generation,
-            rebuild_generation: self.rebuild_generation,
-            dirty_log: self.dirty_log.clone(),
-            prim_seen: self.prim_seen.clone(),
-            full_rebuilds: self.full_rebuilds,
-            rebuilds_dirty_majority: self.rebuilds_dirty_majority,
-            rebuilds_drift_bound: self.rebuilds_drift_bound,
-            delta_syncs: self.delta_syncs,
-            delta_syncs_since_rebuild: self.delta_syncs_since_rebuild,
-            delta_slots_updated: self.delta_slots_updated,
-        }
-    }
-}
 
 impl SeuAggregates {
     /// Build the cache from scratch for the given model state.
     pub fn new(ds: &Dataset, outputs: &ModelOutputs) -> Self {
-        let n_primitives = ds.train.corpus.n_primitives();
         let mut cache = Self {
-            id: NEXT_AGGS_ID.fetch_add(1, Ordering::Relaxed),
             psi: Vec::new(),
             yhat: Vec::new(),
-            aggs: vec![PrimAgg::default(); n_primitives],
-            generation: 0,
-            rebuild_generation: 0,
-            dirty_log: Vec::new(),
-            prim_seen: vec![false; n_primitives],
+            aggs: vec![PrimAgg::default(); ds.train.corpus.n_primitives()],
             full_rebuilds: 0,
             rebuilds_dirty_majority: 0,
             rebuilds_drift_bound: 0,
@@ -207,18 +137,6 @@ impl SeuAggregates {
     /// The cached aggregates (aligned with the primitive domain).
     pub fn aggs(&self) -> &[PrimAgg] {
         &self.aggs
-    }
-
-    /// Process-unique identity of this cache instance.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Current generation; bumped on every state change. Snapshot it when
-    /// deriving state from [`SeuAggregates::aggs`], then revalidate with
-    /// [`SeuAggregates::dirty_prims_since`].
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// `(full rebuilds, delta syncs)` performed so far.
@@ -237,26 +155,6 @@ impl SeuAggregates {
         self.delta_slots_updated
     }
 
-    /// The sorted, deduplicated set of primitives whose aggregate changed
-    /// after generation `since` — or `None` when a full rebuild happened
-    /// since then (everything must be treated as dirty).
-    ///
-    /// `since == generation()` yields `Some([])`: nothing changed.
-    pub fn dirty_prims_since(&self, since: u64) -> Option<Vec<u32>> {
-        if since < self.rebuild_generation {
-            return None;
-        }
-        let mut dirty: Vec<u32> = self
-            .dirty_log
-            .iter()
-            .filter(|(generation, _)| *generation > since)
-            .flat_map(|(_, prims)| prims.iter().copied())
-            .collect();
-        dirty.sort_unstable();
-        dirty.dedup();
-        Some(dirty)
-    }
-
     fn rebuild(&mut self, ds: &Dataset, outputs: &ModelOutputs) {
         self.psi = outputs.train_posterior.entropies();
         self.yhat = outputs.yhat_signs();
@@ -270,21 +168,17 @@ impl SeuAggregates {
         }
         self.full_rebuilds += 1;
         self.delta_syncs_since_rebuild = 0;
-        self.generation += 1;
-        self.rebuild_generation = self.generation;
-        self.dirty_log.clear();
     }
 
     /// Bring the cache in line with `outputs` by applying, in place, the
     /// contribution delta of every example whose `(psi, yhat)` changed —
-    /// `O(Σ_{i dirty} |prims(i)|)` instead of the `O(nnz(U))` rebuild —
-    /// and append the touched primitives to the dirty log.
+    /// `O(Σ_{i dirty} |prims(i)|)` instead of the `O(nnz(U))` rebuild.
     ///
     /// Falls back to a full rebuild when the dirty set covers nearly all
-    /// slots (`dirty_slots > 7/8 · nnz(U)`; see the cost model on the
-    /// threshold constants) and forces
-    /// one every 64 delta syncs (`MAX_DELTA_SYNCS_BETWEEN_REBUILDS`) to
-    /// bound floating-point drift of the in-place sums. The returned
+    /// slots (`dirty_slots ≥ 7/8 · nnz(U)`; see the threshold constants)
+    /// and forces one every 64 delta syncs
+    /// (`MAX_DELTA_SYNCS_BETWEEN_REBUILDS`) to bound floating-point drift
+    /// of the in-place sums. The returned
     /// [`SyncOutcome`] says which path ran and, for rebuilds, why.
     pub fn sync(&mut self, ds: &Dataset, outputs: &ModelOutputs) -> SyncOutcome {
         let new_psi = outputs.train_posterior.entropies();
@@ -323,30 +217,19 @@ impl SeuAggregates {
             return SyncOutcome::Rebuild(reason);
         }
 
-        let mut dirty_prims = Vec::new();
         for &i in &dirty {
             let i = i as usize;
             let (old_psi, old_sign) = (self.psi[i], self.yhat[i]);
             let (np, ns) = (new_psi[i], new_yhat[i]);
             for &z in corpus.primitives_of(i) {
                 self.aggs[z as usize].apply_delta(old_psi, old_sign, np, ns);
-                if !self.prim_seen[z as usize] {
-                    self.prim_seen[z as usize] = true;
-                    dirty_prims.push(z);
-                }
             }
         }
-        for &z in &dirty_prims {
-            self.prim_seen[z as usize] = false;
-        }
-        dirty_prims.sort_unstable();
         self.psi = new_psi;
         self.yhat = new_yhat;
         self.delta_slots_updated += dirty_slots as u64;
         self.delta_syncs += 1;
         self.delta_syncs_since_rebuild += 1;
-        self.generation += 1;
-        self.dirty_log.push((self.generation, dirty_prims));
         SyncOutcome::Delta { dirty_examples: dirty.len(), dirty_slots }
     }
 }
@@ -705,11 +588,7 @@ impl<'a> Session<'a> {
         expect_len("train_probs", n_train, ckpt.train_probs.len())?;
         expect_len("valid_pred", ds.valid.n(), ckpt.valid_pred.len())?;
         expect_len("test_pred", ds.test.n(), ckpt.test_pred.len())?;
-        // The drivers evaluate every `eval_every` rounds (`(t + 1) %
-        // eval_every`), so a zero cadence would panic the restored loop.
-        if ckpt.config.eval_every == 0 {
-            return Err(RestoreError::ValueOutOfRange { field: "eval_every" });
-        }
+        ckpt.config.validate().map_err(|field| RestoreError::ValueOutOfRange { field })?;
 
         let unit_interval = |field, values: &[f64]| {
             if values.iter().all(|p| p.is_finite() && (0.0..=1.0).contains(p)) {

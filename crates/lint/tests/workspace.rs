@@ -45,7 +45,8 @@ const DIFFERENTIALS: &str = "fn differentials() {\n\
     register_batch_naive();\n\
     distances();\n\
     tune_p();\n\
-    let _ = (FullRescoreSeu, ReferencePipeline);\n\
+    tune_p_cold();\n\
+    let _ = ReferencePipeline;\n\
     let _ = SelectionStrategy::A;\n\
 }\n";
 
@@ -71,7 +72,7 @@ impl MiniWorkspace {
             "//! Oracles.\n\
              /// Oracle.\npub fn register_batch_naive() {}\n\
              /// Oracle.\npub fn tune_p() {}\n\
-             /// Oracle.\npub struct FullRescoreSeu;\n\
+             /// Oracle.\npub fn tune_p_cold() {}\n\
              /// Oracle.\npub struct ReferencePipeline;\n\
              /// Oracle.\npub fn distances() {}\n\
              fn private_helper() {}\n",

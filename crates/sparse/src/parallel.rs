@@ -2,8 +2,8 @@
 //!
 //! The hermetic build environment has no `rayon`, so this module provides
 //! the small slice-parallel surface the workspace's hot paths need:
-//! indexed map over a shared slice ([`par_map`]), in-place mutation
-//! ([`par_for_each_mut`]), and a plain index-range map ([`par_map_range`]).
+//! indexed map over a shared slice ([`par_map`]) and in-place mutation
+//! ([`par_for_each_mut`]).
 //!
 //! Design rules:
 //!
@@ -137,43 +137,6 @@ where
         }
     });
     let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for p in parts {
-        out.extend(p);
-    }
-    out
-}
-
-/// Map `f(i)` over `0..n`, returning results in index order.
-pub fn par_map_range<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let threads = effective_threads(n);
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let mut parts: Vec<Vec<R>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|start| {
-                let f = &f;
-                let end = (start + chunk).min(n);
-                scope.spawn(move || (start..end).map(f).collect::<Vec<R>>())
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => parts.push(part),
-                // Re-raise with the original payload so assertion
-                // messages from worker closures survive.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    let mut out = Vec::with_capacity(n);
     for p in parts {
         out.extend(p);
     }
@@ -391,13 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_range_matches_serial() {
-        let out = par_map_range(10_000, |i| i * i);
-        let expected: Vec<usize> = (0..10_000).map(|i| i * i).collect();
-        assert_eq!(out, expected);
-    }
-
-    #[test]
     fn par_for_each_mut_touches_every_element() {
         let mut items: Vec<usize> = vec![0; 10_000];
         par_for_each_mut(&mut items, |i, x| *x = i + 1);
@@ -431,7 +387,6 @@ mod tests {
     fn empty_inputs() {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(&empty, |_, &x| x).is_empty());
-        assert!(par_map_range(0, |i| i).is_empty());
         assert!(par_flat_map_chunks(&empty, 0, |_, c| c.to_vec()).is_empty());
         let mut e2: Vec<u32> = Vec::new();
         par_for_each_mut(&mut e2, |_, _| {});

@@ -1,17 +1,16 @@
 //! End-to-end differential test for the interactive loop's incremental
 //! paths against their reference oracles (`nemo::core::reference`): a
-//! full interactive `Session` must select the same development example
-//! and tune the same percentile every round with
-//!
-//! - [`SeuSelector`] (dirty-set scoring) or [`FullRescoreSeu`], and
-//! - [`ContextualizedPipeline`] (warm parallel fits, refined-column
-//!   cache, score-class dedup) or [`ReferencePipeline`] (cold sequential
-//!   fits, refilter everything, one predict per grid point, naive
-//!   registration).
+//! full interactive `Session` driven by [`SeuSelector`] (over the
+//! session's delta-synced aggregates) must select the same development
+//! example and tune the same percentile every round with
+//! [`ContextualizedPipeline`] (warm parallel fits, refined-column cache,
+//! score-class dedup) as with [`ReferencePipeline`] (cold sequential
+//! fits, refilter everything, one predict per grid point, naive
+//! registration).
 //!
 //! Under the seed-free default estimator (MeTaL, whose `fit_from` is
-//! `fit`) every pair is bit-identical, so each optimisation is isolated
-//! and sessions must agree bit for bit. With the EM label model warm fits
+//! `fit`) the two pipelines are bit-identical, so sessions must agree bit
+//! for bit. With the EM label model warm fits
 //! reconverge within tolerance, so scores are asserted close; that
 //! comparison runs on Amazon quick, whose well-conditioned matrices give
 //! EM an effectively unique fixed point (on few-vote toy matrices warm
@@ -23,35 +22,23 @@ mod common;
 
 use common::{run_session, Trace};
 use nemo::core::config::{IdpConfig, LabelModelKind};
-use nemo::core::idp::Selector;
 use nemo::core::pipeline::{ContextualizedPipeline, LearningPipeline};
-use nemo::core::reference::{FullRescoreSeu, ReferencePipeline};
+use nemo::core::reference::ReferencePipeline;
 use nemo::core::seu::SeuSelector;
 use nemo::data::catalog::{build, toy_text, DatasetName, Profile};
 use nemo::data::Dataset;
 
-/// One 12-round session; `reference_seu` / `reference_pipeline` pick the
-/// oracle side of each differential.
-fn run(
-    ds: &Dataset,
-    label_model: LabelModelKind,
-    reference_seu: bool,
-    reference_pipeline: bool,
-    seed: u64,
-) -> Trace {
+/// One 12-round SEU session; `reference_pipeline` picks the oracle side
+/// of the differential.
+fn run(ds: &Dataset, label_model: LabelModelKind, reference_pipeline: bool, seed: u64) -> Trace {
     let config =
         IdpConfig { n_iterations: 12, eval_every: 4, seed, label_model, ..Default::default() };
-    let mut selector: Box<dyn Selector> = if reference_seu {
-        Box::new(FullRescoreSeu::default())
-    } else {
-        Box::new(SeuSelector::new())
-    };
     let mut pipeline: Box<dyn LearningPipeline> = if reference_pipeline {
         Box::new(ReferencePipeline::default())
     } else {
         Box::new(ContextualizedPipeline::default())
     };
-    run_session(ds, config, &mut *selector, &mut *pipeline)
+    run_session(ds, config, &mut SeuSelector::new(), &mut *pipeline)
 }
 
 fn assert_identical_decisions(a: &Trace, b: &Trace, what: &str, seed: u64) {
@@ -69,40 +56,33 @@ fn assert_identical_decisions(a: &Trace, b: &Trace, what: &str, seed: u64) {
     );
 }
 
-/// Each optimisation isolated under the seed-free default estimator,
-/// plus all of them together: bit-identical to the reference session.
+/// Under the seed-free default estimator the production pipeline's
+/// optimisations are bit-identical to the reference session on the toy
+/// corpus.
 #[test]
 fn full_session_identical_dirty_set_vs_full_rescore() {
     let ds = toy_text(1);
     let metal = LabelModelKind::Metal;
     for seed in [1u64, 7] {
-        let reference = run(&ds, metal, true, true, seed);
-        for (seu, pipeline, what) in [
-            (false, true, "dirty-set vs full rescore"),
-            (true, false, "contextualized pipeline vs reference pipeline"),
-            (false, false, "all production paths"),
-        ] {
-            let trace = run(&ds, metal, seu, pipeline, seed);
-            assert_eq!(trace, reference, "session diverged ({what}, seed {seed})");
-        }
+        let reference = run(&ds, metal, true, seed);
+        let trace = run(&ds, metal, false, seed);
+        assert_eq!(
+            trace, reference,
+            "session diverged (contextualized pipeline vs reference pipeline, seed {seed})"
+        );
     }
 }
 
 /// Warm vs cold EM (with the bit-identical refinement cache and score
-/// dedup riding along), and every production path together, on the
-/// well-conditioned Amazon quick workload.
+/// dedup riding along) on the well-conditioned Amazon quick workload.
 #[test]
 fn full_session_identical_warm_vs_cold_and_combined() {
     let ds = build(DatasetName::Amazon, Profile::Quick, 3);
     let em = LabelModelKind::Generative;
     for seed in [7u64, 13] {
-        let reference = run(&ds, em, true, true, seed);
-        for (seu, pipeline, what) in
-            [(true, false, "warm vs cold"), (false, false, "all production paths")]
-        {
-            let trace = run(&ds, em, seu, pipeline, seed);
-            assert_identical_decisions(&trace, &reference, what, seed);
-        }
+        let reference = run(&ds, em, true, seed);
+        let trace = run(&ds, em, false, seed);
+        assert_identical_decisions(&trace, &reference, "warm vs cold", seed);
     }
 }
 
@@ -112,24 +92,21 @@ fn full_session_identical_warm_vs_cold_and_combined() {
 fn full_session_bit_identical_to_reference_oracles_on_amazon() {
     let ds = build(DatasetName::Amazon, Profile::Quick, 3);
     for seed in [7u64, 13] {
-        let reference = run(&ds, LabelModelKind::Metal, true, true, seed);
-        let production = run(&ds, LabelModelKind::Metal, false, false, seed);
+        let reference = run(&ds, LabelModelKind::Metal, true, seed);
+        let production = run(&ds, LabelModelKind::Metal, false, seed);
         assert_eq!(production, reference, "session diverged (seed {seed})");
     }
 }
 
 /// Default-constructed components run the incremental paths: the
-/// selector serves from its dirty-set cache (sessions always carry
-/// aggregates), and the pipeline's contextualizer serves cached columns
-/// and keeps warm seeds for every grid point.
+/// pipeline's contextualizer serves cached columns and keeps warm seeds
+/// for every grid point.
 #[test]
 fn production_defaults_are_the_incremental_paths() {
     let ds = toy_text(1);
     let config = IdpConfig { n_iterations: 6, eval_every: 3, seed: 2, ..Default::default() };
     let (mut selector, mut pipeline) = (SeuSelector::new(), ContextualizedPipeline::default());
     run_session(&ds, config, &mut selector, &mut pipeline);
-    let stats = selector.dirty_stats();
-    assert!(stats.rounds > 0 && stats.delta_rounds > 0, "dirty-set cache unused: {stats:?}");
     let ctx = pipeline.contextualizer();
     assert!(ctx.refine_cache_stats().hits > 0, "refined-column cache never hit");
     assert_eq!(ctx.warm_seeds().len(), ctx.config.p_grid.len(), "warm seeds not kept");

@@ -154,27 +154,33 @@ fn parallel_scores_bit_identical_to_serial_and_match_naive() {
 #[test]
 fn cached_and_rebuilt_aggregates_select_identically() {
     // The acceptance property: selections driven by the incremental cache
-    // are identical to selections recomputed from scratch.
+    // are identical to selections recomputed from scratch — under
+    // standard learning and under the contextualized pipeline, whose
+    // refined posteriors give the cache a harsher dirty pattern.
     let ds = toy_text(3);
     for seed in SEEDS {
-        let config = IdpConfig { n_iterations: 8, eval_every: 4, seed, ..Default::default() };
-        let mut session = Session::new(&ds, config);
-        let mut pipeline = StandardPipeline;
-        drive(&mut session, &mut pipeline, 8, |s| {
-            let cached_view = s.view();
-            let uncached_view = SelectionView { aggs: None, ..s.view() };
-            for um in USER_MODELS {
-                for ut in UTILITIES {
-                    let mut sel = SeuSelector::with(um, ut);
-                    let mut rng_a = DetRng::new(seed ^ 0xA5);
-                    let mut rng_b = DetRng::new(seed ^ 0xA5);
-                    assert_eq!(
-                        sel.select(&cached_view, &mut rng_a),
-                        sel.select(&uncached_view, &mut rng_b),
-                        "seed {seed} um {um:?} ut {ut:?}: cached selection diverged"
-                    );
+        let pipelines: [Box<dyn LearningPipeline>; 2] =
+            [Box::new(StandardPipeline), Box::new(ContextualizedPipeline::default())];
+        for mut pipeline in pipelines {
+            let name = pipeline.name();
+            let config = IdpConfig { n_iterations: 8, eval_every: 4, seed, ..Default::default() };
+            let mut session = Session::new(&ds, config);
+            drive(&mut session, &mut *pipeline, 8, |s| {
+                let cached_view = s.view();
+                let uncached_view = SelectionView { aggs: None, ..s.view() };
+                for um in USER_MODELS {
+                    for ut in UTILITIES {
+                        let mut sel = SeuSelector::with(um, ut);
+                        let mut rng_a = DetRng::new(seed ^ 0xA5);
+                        let mut rng_b = DetRng::new(seed ^ 0xA5);
+                        assert_eq!(
+                            sel.select(&cached_view, &mut rng_a),
+                            sel.select(&uncached_view, &mut rng_b),
+                            "seed {seed} {name} um {um:?} ut {ut:?}: cached selection diverged"
+                        );
+                    }
                 }
-            }
-        });
+            });
+        }
     }
 }
