@@ -16,7 +16,6 @@
 //! Results are printed as a table and written to `BENCH_kernel.json` so
 //! successive PRs can track the perf trajectory.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use nemo_core::config::{ContextualizerConfig, IdpConfig};
@@ -350,12 +349,15 @@ fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> (String, f64) {
 /// contextualized session repeats every iteration, on the lineage the
 /// recorded session actually collected.
 ///
-/// The cold reference pairs the cold-fit oracle
-/// [`reference::tune_p_cold`] with the plain (Aitken-off)
-/// fixed-point EM — the pre-incremental behaviour, the way
-/// [`reference::register_batch_naive`] preserves the pre-index distance engine. The
-/// warm path is the production default: Aitken-accelerated fits, seeded
-/// per grid point, run in parallel.
+/// The cold reference pairs the cold-fit oracle [`reference::tune_p`]
+/// with the plain (Aitken-off) fixed-point EM — the pre-incremental
+/// behaviour, the way [`reference::register_batch_naive`] preserves the
+/// pre-index distance engine. The warm path is the production default:
+/// Aitken-accelerated fits, seeded per grid point, run in parallel.
+///
+/// Tuned percentiles are asserted identical before timing; with
+/// `NEMO_BENCH_ENFORCE` set, a warm round less than 2x faster than the
+/// reference round aborts the run.
 fn tune_p_warm_bench(
     ds: &Dataset,
     lineage: &Lineage,
@@ -381,8 +383,16 @@ fn tune_p_warm_bench(
     let mut warm_ctx = Contextualizer::new(ContextualizerConfig::default());
     warm_ctx.sync(lineage, ds);
 
-    let cold = bench("tune_p_cold_em", || {
-        reference::tune_p_cold(&mut cold_ctx, &matrix, ds, &cold_model, prior).p
+    {
+        // The cold reference reconverges within EM tolerance to the same
+        // percentile (as `tests/incremental_paths.rs` pins end to end).
+        warm_ctx.set_warm_seeds(seeds.clone());
+        let warm = warm_ctx.tune_p(&matrix, ds, &warm_model, prior);
+        let cold = reference::tune_p(&mut cold_ctx, &matrix, ds, &cold_model, prior);
+        assert_eq!(warm.p, cold.p, "warm tuned percentile diverged from the reference round");
+    }
+    let cold = bench("tune_p_reference_em", || {
+        reference::tune_p(&mut cold_ctx, &matrix, ds, &cold_model, prior).p
     });
     let warm = bench("tune_p_warm_em", || {
         // Restore the previous round's seeds so every timed call is one
@@ -441,8 +451,8 @@ fn tune_p_warm_bench(
     );
     if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
         assert!(
-            warm.mean_ns <= cold.mean_ns,
-            "regression: warm-started tune_p ({}) slower than cold fits ({})",
+            speedup >= 2.0,
+            "regression: warm tuning round ({}) not ≥2x faster than the reference round ({})",
             human(warm.mean_ns),
             human(cold.mean_ns)
         );
@@ -451,318 +461,6 @@ fn tune_p_warm_bench(
     results.push(cold);
     results.push(warm);
     (json, cold_mean, warm_mean)
-}
-
-/// Warm-round refined-matrix construction: the per-grid-point refined
-/// train/valid matrices `tune_p` consumes, built for a lineage whose last
-/// LF is new this round — the exact refinement workload of every
-/// contextualized round after the first.
-///
-/// - **rebuild** ([`reference::refined_grid_matrices`]): refilter every LF column
-///   at every grid point (the pre-cache behaviour).
-/// - **incremental**: serve the `n−1` previously cached LFs' columns from
-///   the cross-round refined-column cache and filter only the new LF's —
-///   each timed call first drops the last LF's slots
-///   (`invalidate_refined_cache_from`) so it measures a genuine warm
-///   round, not a fully cached replay.
-///
-/// Outputs are asserted bit-identical before timing; with
-/// `NEMO_BENCH_ENFORCE` set, an incremental path slower than half the
-/// rebuild cost aborts the run (the CI regression guard — the committed
-/// numbers show well above the 3× the ROADMAP item claims).
-fn refine_cache_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchResult>) -> String {
-    let n_lfs = lineage.len();
-    let lfs: Vec<PrimitiveLf> = lineage.tracked().iter().map(|r| r.lf).collect();
-    let matrix = LabelMatrix::from_lfs(&lfs, &ds.train.corpus);
-    let grid = ContextualizerConfig::default().p_grid.len();
-
-    let mut rebuild_ctx = Contextualizer::new(ContextualizerConfig::default());
-    rebuild_ctx.sync(lineage, ds);
-    let mut incr_ctx = Contextualizer::new(ContextualizerConfig::default());
-    incr_ctx.sync(lineage, ds);
-
-    // Bit-identity check (and cache warm-up for LFs 0..n−1).
-    let (rb_train, rb_valid) =
-        reference::refined_grid_matrices(&mut rebuild_ctx, &matrix, ds.valid.n());
-    let (in_train, in_valid) = incr_ctx.refined_grid_matrices(&matrix, ds.valid.n());
-    for (k, ((a, b), (c, d))) in
-        in_train.iter().zip(&rb_train).zip(in_valid.iter().zip(&rb_valid)).enumerate()
-    {
-        for j in 0..a.n_lfs() {
-            assert_eq!(a.column(j).entries(), b.column(j).entries(), "train k={k} j={j}");
-            assert_eq!(c.column(j).entries(), d.column(j).entries(), "valid k={k} j={j}");
-        }
-    }
-
-    let rebuild = bench("refine_grid_rebuild", || {
-        reference::refined_grid_matrices(&mut rebuild_ctx, &matrix, ds.valid.n()).0.len()
-    });
-    let warm = bench("refine_grid_warm", || {
-        incr_ctx.invalidate_refined_cache_from(n_lfs - 1);
-        incr_ctx.refined_grid_matrices(&matrix, ds.valid.n()).0.len()
-    });
-    let stats = incr_ctx.refine_cache_stats();
-    let speedup = rebuild.mean_ns / warm.mean_ns;
-    println!(
-        "\nWarm-round refined-matrix construction ({n_lfs} LFs, {grid} grid points, 1 new LF):"
-    );
-    println!("  full rebuild           : {} per round", human(rebuild.mean_ns));
-    println!("  incremental cache      : {} per round", human(warm.mean_ns));
-    println!(
-        "  speedup                : {speedup:.2}x  ({} hits, {} refilters recorded)",
-        stats.hits, stats.refilters
-    );
-    if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
-        assert!(
-            warm.mean_ns * 2.0 <= rebuild.mean_ns,
-            "regression: incremental refined-matrix cache ({}) not ≥2x faster than rebuild ({})",
-            human(warm.mean_ns),
-            human(rebuild.mean_ns)
-        );
-    }
-    let json = format!(
-        concat!(
-            "{{\"lfs\": {}, \"grid_points\": {}, \"rebuild_ns\": {:.0}, ",
-            "\"incremental_ns\": {:.0}, \"speedup\": {:.4}, ",
-            "\"cache_hits\": {}, \"cache_refilters\": {}}}"
-        ),
-        n_lfs, grid, rebuild.mean_ns, warm.mean_ns, speedup, stats.hits, stats.refilters,
-    );
-    results.push(rebuild);
-    results.push(warm);
-    json
-}
-
-/// Copy-on-write matrix assembly: build every grid point's refined
-/// train/valid `LabelMatrix` from the contextualizer's cached columns —
-/// the serve step of each warm `tune_p` round — two ways:
-///
-/// - **deep copy**: clone each column's vote vector into the matrix (the
-///   pre-CoW `Vec<LfColumn>` storage paid this `O(coverage)` memcpy per
-///   `(grid point, LF)` slot, every round);
-/// - **shared**: append an `Arc` clone of the cached column
-///   ([`LabelMatrix::push_shared`]) — a refcount bump, `O(1)` per slot.
-///
-/// Outputs are asserted equal (and the shared path pointer-identical to
-/// its source) before timing; with `NEMO_BENCH_ENFORCE` set, a shared
-/// path slower than half the deep-copy cost aborts the run.
-fn matrix_cow_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchResult>) -> String {
-    let lfs: Vec<PrimitiveLf> = lineage.tracked().iter().map(|r| r.lf).collect();
-    let matrix = LabelMatrix::from_lfs(&lfs, &ds.train.corpus);
-    let mut ctx = Contextualizer::new(ContextualizerConfig::default());
-    ctx.sync(lineage, ds);
-    // Fill the refined-column cache once; the sources below then play the
-    // cache's role of handing out columns for assembly.
-    let (grid_train, grid_valid) = ctx.refined_grid_matrices(&matrix, ds.valid.n());
-    let sources: Vec<&LabelMatrix> = grid_train.iter().chain(&grid_valid).collect();
-    let n_columns: usize = sources.iter().map(|m| m.n_lfs()).sum();
-    let n_votes: usize =
-        sources.iter().flat_map(|m| m.columns().map(nemo_lf::LfColumn::coverage)).sum();
-
-    let assemble_shared = |srcs: &[&LabelMatrix]| {
-        let mut total = 0usize;
-        for m in srcs {
-            let mut out = LabelMatrix::new(m.n_examples());
-            for j in 0..m.n_lfs() {
-                out.push_shared(Arc::clone(m.shared_column(j)));
-            }
-            total += out.n_lfs();
-        }
-        total
-    };
-    let assemble_deep = |srcs: &[&LabelMatrix]| {
-        let mut total = 0usize;
-        for m in srcs {
-            let mut out = LabelMatrix::new(m.n_examples());
-            for j in 0..m.n_lfs() {
-                out.push(m.column(j).clone());
-            }
-            total += out.n_lfs();
-        }
-        total
-    };
-    assert_eq!(assemble_shared(&sources), assemble_deep(&sources));
-    {
-        // Shared assembly must be pointer-identical to its source.
-        let mut out = LabelMatrix::new(grid_train[0].n_examples());
-        for j in 0..grid_train[0].n_lfs() {
-            out.push_shared(Arc::clone(grid_train[0].shared_column(j)));
-        }
-        assert_eq!(out.shared_columns_with(&grid_train[0]), grid_train[0].n_lfs());
-    }
-
-    let deep = bench("matrix_assemble_deep_copy", || assemble_deep(&sources));
-    let shared = bench("matrix_assemble_shared", || assemble_shared(&sources));
-    let speedup = deep.mean_ns / shared.mean_ns;
-    println!(
-        "\nCoW matrix assembly ({} grid matrices, {} columns, {} votes):",
-        sources.len(),
-        n_columns,
-        n_votes
-    );
-    println!("  deep-copied columns    : {} per round", human(deep.mean_ns));
-    println!("  shared Arc handles     : {} per round", human(shared.mean_ns));
-    println!("  speedup                : {speedup:.2}x");
-    if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
-        assert!(
-            shared.mean_ns * 2.0 <= deep.mean_ns,
-            "regression: shared matrix assembly ({}) not ≥2x faster than deep copies ({})",
-            human(shared.mean_ns),
-            human(deep.mean_ns)
-        );
-    }
-    let json = format!(
-        concat!(
-            "{{\"grid_matrices\": {}, \"columns\": {}, \"votes\": {}, ",
-            "\"deep_copy_ns\": {:.0}, \"shared_ns\": {:.0}, \"speedup\": {:.4}}}"
-        ),
-        sources.len(),
-        n_columns,
-        n_votes,
-        deep.mean_ns,
-        shared.mean_ns,
-        speedup,
-    );
-    results.push(deep);
-    results.push(shared);
-    json
-}
-
-/// Equivalence-class posterior dedup in `tune_p`, plus the warm-round
-/// headline: one cross-round warm tuning round (shared-column matrix
-/// assembly + warm parallel fits + class-deduped validation predicts —
-/// every production switch) against
-///
-/// - the same round under [`reference::tune_p_per_point`] (isolating the
-///   scoring dedup), and
-/// - the full pre-incremental reference round
-///   ([`reference::tune_p`]: rebuild + cold + per-point, plain
-///   fixed-point EM).
-///
-/// Tuned percentiles are asserted identical across all paths (and the
-/// class/per-point scores bitwise equal) before timing; with
-/// `NEMO_BENCH_ENFORCE` set, the gate requires class scoring no slower
-/// than per-point (10% noise margin) and the production round ≥2× the
-/// reference round.
-fn tune_p_dedup_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchResult>) -> String {
-    let n_lfs = lineage.len();
-    assert!(n_lfs >= 2, "recorded session collected too few LFs");
-    let lfs: Vec<PrimitiveLf> = lineage.tracked().iter().map(|r| r.lf).collect();
-    let prev_matrix = LabelMatrix::from_lfs(&lfs[..n_lfs - 1], &ds.train.corpus);
-    let matrix = LabelMatrix::from_lfs(&lfs, &ds.train.corpus);
-    let warm_model = GenerativeModel::default();
-    let cold_model = GenerativeModel { accel: false, ..Default::default() };
-    let prior = [0.5, 0.5];
-
-    // Previous round (one LF fewer): capture per-grid-point warm seeds.
-    let mut prev_ctx = Contextualizer::new(ContextualizerConfig::default());
-    prev_ctx.register_batch(&lineage.tracked()[..n_lfs - 1], ds);
-    prev_ctx.tune_p(&prev_matrix, ds, &warm_model, prior);
-    let seeds: Vec<Vec<f64>> = prev_ctx.warm_seeds().to_vec();
-
-    let mut class_ctx = Contextualizer::new(ContextualizerConfig::default());
-    class_ctx.sync(lineage, ds);
-    let mut pp_ctx = Contextualizer::new(ContextualizerConfig::default());
-    pp_ctx.sync(lineage, ds);
-    let mut ref_ctx = Contextualizer::new(ContextualizerConfig::default());
-    ref_ctx.sync(lineage, ds);
-
-    // Bit-identity across the switches before timing: class vs per-point
-    // must agree bitwise; the cold reference reconverges within EM
-    // tolerance to the same percentile (as `tests/incremental_paths.rs`
-    // pins end-to-end).
-    let predicts_class = {
-        let before = class_ctx.tune_predicts();
-        class_ctx.set_warm_seeds(seeds.clone());
-        let t = class_ctx.tune_p(&matrix, ds, &warm_model, prior);
-        let predicts = class_ctx.tune_predicts() - before;
-        let before_pp = pp_ctx.tune_predicts();
-        pp_ctx.set_warm_seeds(seeds.clone());
-        let t_pp = reference::tune_p_per_point(&mut pp_ctx, &matrix, ds, &warm_model, prior);
-        assert_eq!(t.p, t_pp.p, "class/per-point tuned percentile diverged");
-        assert_eq!(
-            t.valid_score.to_bits(),
-            t_pp.valid_score.to_bits(),
-            "class/per-point score not bitwise identical"
-        );
-        assert_eq!(t.train_matrix, t_pp.train_matrix, "class/per-point tuned matrix diverged");
-        let t_ref = reference::tune_p(&mut ref_ctx, &matrix, ds, &cold_model, prior);
-        assert_eq!(t.p, t_ref.p, "production tuned percentile diverged from the reference round");
-        assert_eq!(
-            pp_ctx.tune_predicts() - before_pp,
-            ContextualizerConfig::default().p_grid.len()
-        );
-        predicts
-    };
-    let grid = ContextualizerConfig::default().p_grid.len();
-
-    let class = bench("tune_p_class_dedup", || {
-        class_ctx.set_warm_seeds(seeds.clone());
-        class_ctx.tune_p(&matrix, ds, &warm_model, prior).p
-    });
-    let per_point = bench("tune_p_per_point", || {
-        pp_ctx.set_warm_seeds(seeds.clone());
-        reference::tune_p_per_point(&mut pp_ctx, &matrix, ds, &warm_model, prior).p
-    });
-    let reference = bench("tune_p_reference_round", || {
-        reference::tune_p(&mut ref_ctx, &matrix, ds, &cold_model, prior).p
-    });
-
-    let dedup_speedup = per_point.mean_ns / class.mean_ns;
-    let warm_round_speedup = reference.mean_ns / class.mean_ns;
-    println!("\nPercentile-tuning posterior dedup ({n_lfs} LFs, {grid} grid points):");
-    println!(
-        "  per-point predicts     : {} per tune_p  ({grid} predicts)",
-        human(per_point.mean_ns)
-    );
-    println!(
-        "  class-deduped predicts : {} per tune_p  ({predicts_class} predicts)",
-        human(class.mean_ns)
-    );
-    println!(
-        "  reference round        : {} (Rebuild + Cold + PerPoint)  → warm-round speedup {warm_round_speedup:.2}x",
-        human(reference.mean_ns)
-    );
-    if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
-        // The predict being deduped is small next to the EM fits both
-        // paths share, so the gate is parity-with-noise-margin (the
-        // dedup's value grows with the validation split), not a speedup
-        // claim.
-        assert!(
-            class.mean_ns <= per_point.mean_ns * 1.10,
-            "regression: class-deduped tune_p ({}) slower than per-point scoring ({})",
-            human(class.mean_ns),
-            human(per_point.mean_ns)
-        );
-        assert!(
-            warm_round_speedup >= 2.0,
-            "regression: warm tuning round ({}) not ≥2x faster than the reference round ({})",
-            human(class.mean_ns),
-            human(reference.mean_ns)
-        );
-    }
-    let json = format!(
-        concat!(
-            "{{\"lfs\": {}, \"grid_points\": {}, \"predicts_per_point\": {}, ",
-            "\"predicts_class\": {}, \"per_point_ns\": {:.0}, \"class_ns\": {:.0}, ",
-            "\"dedup_speedup\": {:.4}, \"reference_round_ns\": {:.0}, ",
-            "\"production_round_ns\": {:.0}, \"warm_round_speedup\": {:.4}}}"
-        ),
-        n_lfs,
-        grid,
-        grid,
-        predicts_class,
-        per_point.mean_ns,
-        class.mean_ns,
-        dedup_speedup,
-        reference.mean_ns,
-        class.mean_ns,
-        warm_round_speedup,
-    );
-    results.push(class);
-    results.push(per_point);
-    results.push(reference);
-    json
 }
 
 /// Run `f` with `NEMO_THREADS` pinned to `t`, restoring the prior setting
@@ -1703,9 +1401,6 @@ fn main() {
     let pool_json = session_pool_bench(&ds, &mut results);
     let iws_rank_json = iws_rank_bench(&ds, &mut results);
     let (loop_json, seu_round_ns) = seu_loop_bench(&ds, &trajectory);
-    let refine_json = refine_cache_bench(&ds, &session_lineage, &mut results);
-    let cow_json = matrix_cow_bench(&ds, &session_lineage, &mut results);
-    let dedup_json = tune_p_dedup_bench(&ds, &session_lineage, &mut results);
     let (warm_json, tune_cold_ns, tune_warm_ns) =
         tune_p_warm_bench(&ds, &session_lineage, &mut results);
 
@@ -1735,9 +1430,6 @@ fn main() {
     json.push_str(&format!("  \"session_pool\": {pool_json},\n"));
     json.push_str(&format!("  \"iws_rank\": {iws_rank_json},\n"));
     json.push_str(&format!("  \"seu_loop\": {loop_json},\n"));
-    json.push_str(&format!("  \"refine_cache\": {refine_json},\n"));
-    json.push_str(&format!("  \"matrix_cow\": {cow_json},\n"));
-    json.push_str(&format!("  \"tune_p_dedup\": {dedup_json},\n"));
     json.push_str(&format!("  \"tune_p_warm\": {warm_json},\n"));
     json.push_str(&format!("  \"incremental_round\": {round_json}\n"));
     json.push_str("}\n");

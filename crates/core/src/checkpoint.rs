@@ -13,9 +13,7 @@
 //!   periodically re-anchored to);
 //! - the contextualizer's per-LF distance tables are re-registered in one
 //!   batch on the next learning round (batched registration is
-//!   bit-identical to incremental registration, differential-tested);
-//! - the refined-column cache starts cold and self-invalidates through
-//!   its keys (fresh column tokens), then refills to the same values.
+//!   bit-identical to incremental registration, differential-tested).
 //!
 //! `tests/session_checkpoint.rs` proves the resulting sessions make the
 //! same selections, tune the same percentiles, and produce bit-identical

@@ -95,6 +95,19 @@ impl Default for ContextualizerConfig {
     }
 }
 
+impl ContextualizerConfig {
+    /// Check the percentile grid `tune_p` scans, returning the offending
+    /// field's name: it must be non-empty with every `p` in `[0, 100]`
+    /// (NaN fails), or the first tuning round would panic. Behind both
+    /// [`crate::SessionPool::admit`] and [`crate::NemoSystem::restore_with`].
+    pub(crate) fn validate(&self) -> Result<(), &'static str> {
+        if self.p_grid.is_empty() || !self.p_grid.iter().all(|p| (0.0..=100.0).contains(p)) {
+            return Err("p_grid");
+        }
+        Ok(())
+    }
+}
+
 /// Configuration of one IDP run (paper Sec. 5.1 evaluation protocol).
 #[derive(Debug, Clone)]
 pub struct IdpConfig {
@@ -195,6 +208,17 @@ mod tests {
         let c = ContextualizerConfig::default();
         assert_eq!(c.distance, Distance::Cosine);
         assert_eq!(c.p_grid, vec![25.0, 50.0, 75.0, 100.0]);
+    }
+
+    #[test]
+    fn contextualizer_validate_rejects_bad_grids() {
+        assert_eq!(ContextualizerConfig::default().validate(), Ok(()));
+        let edges = ContextualizerConfig { p_grid: vec![0.0, 100.0], ..Default::default() };
+        assert_eq!(edges.validate(), Ok(()));
+        for p_grid in [vec![], vec![150.0], vec![f64::NAN], vec![50.0, -1.0]] {
+            let bad = ContextualizerConfig { p_grid, ..Default::default() };
+            assert_eq!(bad.validate(), Err("p_grid"), "{:?}", bad.p_grid);
+        }
     }
 
     #[test]

@@ -30,10 +30,9 @@ use nemo_labelmodel::{FittedLabelModel, LabelModel};
 use nemo_lf::{LabelMatrix, LfColumn, Lineage, TrackedLf};
 use nemo_sparse::parallel::par_map_min;
 use nemo_sparse::stats::percentile_of_sorted;
-// lint: allow(determinism/hash-collections): dedup maps below are
-// lookup-only (entry/or_insert); their iteration order is never observed.
+// lint: allow(determinism/hash-collections): the fit-dedup map below is
+// lookup-only (entry/or_insert); its iteration order is never observed.
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Result of percentile tuning: the chosen `p`, the refined training
 /// matrix at that `p`, and the label model fitted to it.
@@ -47,49 +46,6 @@ pub struct TunedRefinement {
     /// Validation score (mean log-likelihood of the validation labels
     /// under the refined soft labels) achieved by the chosen `p`.
     pub valid_score: f64,
-}
-
-/// One `(grid point, LF)` slot of the cross-round refined-column cache:
-/// the filtered train and valid columns, plus the key they were filtered
-/// under — the radius (bitwise) and the raw train column's construction
-/// token. Lineage is append-only, so for an existing LF neither component
-/// moves between rounds and the slot stays valid until the caller changes
-/// the grid or swaps the raw matrix. Columns are held as shared
-/// [`Arc<LfColumn>`] handles: serving a slot into a grid matrix is an
-/// `Arc` clone ([`LabelMatrix::push_shared`]) — a refcount bump, never a
-/// vote memcpy.
-struct RefinedEntry {
-    /// `radius(j, p).to_bits()` at filter time.
-    radius_bits: u64,
-    /// [`LfColumn::token`] of the raw train column the train column was
-    /// filtered from (the valid column's raw source is owned by the
-    /// contextualizer and immutable, so it needs no key).
-    raw_token: u64,
-    train: Arc<LfColumn>,
-    valid: Arc<LfColumn>,
-}
-
-/// Cumulative refined-column cache counters (bench accounting).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RefineCacheStats {
-    /// `(grid point, LF)` slots served from the cache.
-    pub hits: usize,
-    /// Slots whose own-slot key missed (cold slots, radius changes,
-    /// raw-column changes — and every slot of the rebuild oracle
-    /// [`crate::reference::refined_grid_matrices`]).
-    pub refilters: usize,
-    /// Of the `refilters`, slots recovered by sharing an *earlier grid
-    /// slot's* cached columns (same LF, same radius bits, same raw token)
-    /// instead of re-running the filter — duplicate grid percentiles and
-    /// adjacent percentiles quantizing to the same radius cost a refcount
-    /// bump, and equal columns across slots come out pointer-equal.
-    pub cross_slot_reuses: usize,
-    /// Columns handed to grid matrices as shared `Arc` clones (train and
-    /// valid counted separately). On the incremental path **every**
-    /// served column is shared — a warm round's matrix assembly performs
-    /// zero per-column vote memcpys, which the CoW differential tests
-    /// pin via `Arc::ptr_eq` across rounds.
-    pub shared_serves: usize,
 }
 
 /// The contextualizer with per-LF distance caches.
@@ -107,15 +63,6 @@ pub struct Contextualizer {
     /// Label-model fit iterations spent by `tune_p` so far (bench
     /// accounting; only iterative estimators report non-trivial counts).
     tune_fits: usize,
-    /// Validation posterior predicts run by [`Contextualizer::tune_p`] so
-    /// far — one per score equivalence class (one per grid point under
-    /// the per-point oracles in [`mod@crate::reference`]; bench accounting).
-    tune_predicts: usize,
-    /// Cross-round refined-column cache, `[grid slot][lf]`, lazily grown
-    /// and revalidated per slot (see
-    /// [`Contextualizer::refined_grid_matrices`]).
-    refined_cache: Vec<Vec<Option<RefinedEntry>>>,
-    pub(crate) cache_stats: RefineCacheStats,
 }
 
 impl Contextualizer {
@@ -129,43 +76,12 @@ impl Contextualizer {
             raw_valid_cols: Vec::new(),
             warm_accs: Vec::new(),
             tune_fits: 0,
-            tune_predicts: 0,
-            refined_cache: Vec::new(),
-            cache_stats: RefineCacheStats::default(),
         }
     }
 
     /// Label-model fits performed by [`Contextualizer::tune_p`] so far.
     pub fn tune_fits(&self) -> usize {
         self.tune_fits
-    }
-
-    /// Validation posterior predicts performed by
-    /// [`Contextualizer::tune_p`] so far. Grid points whose fits and
-    /// refined validation matrices coincide share one predict, so this
-    /// lags `rounds × p_grid.len()`; the per-point oracles in
-    /// [`mod@crate::reference`] predict every grid point (empty-validation
-    /// rounds predict nothing either way).
-    pub fn tune_predicts(&self) -> usize {
-        self.tune_predicts
-    }
-
-    /// Cumulative refined-column cache hit/refilter counters (only
-    /// [`Contextualizer::refined_grid_matrices`] records hits).
-    pub fn refine_cache_stats(&self) -> RefineCacheStats {
-        self.cache_stats
-    }
-
-    /// Drop cached refined columns for LFs with index `≥ from` at every
-    /// grid point. The cache self-invalidates through its keys, so
-    /// ordinary sessions never need this; it exists for state restoration
-    /// (a checkpoint restored with [`Contextualizer::set_warm_seeds`] may
-    /// reuse a contextualizer whose cache outlived the checkpoint) and
-    /// for benches that re-measure the same warm round repeatedly.
-    pub fn invalidate_refined_cache_from(&mut self, from: usize) {
-        for slot in &mut self.refined_cache {
-            slot.truncate(from);
-        }
     }
 
     /// Per-grid-point warm-start seeds captured by the last
@@ -298,106 +214,18 @@ impl Contextualizer {
 
     /// The per-grid-point refined train and valid matrices `tune_p`
     /// consumes (one pair per entry of `config.p_grid`, in grid order).
-    ///
-    /// Each `(grid point, LF)` column pair is served from the cross-round
-    /// cache when its key — the radius bits and the raw train column's
-    /// [`nemo_lf::LfColumn::token`] — matches, and refiltered (then
-    /// re-cached) otherwise. Because lineage is append-only and an
-    /// existing LF's distance table is frozen at registration, a warm
-    /// round refilters only the newly registered LFs' columns: `O(grid)`
-    /// filters instead of the `O(grid · lfs)` of refiltering everything
-    /// (the oracle [`crate::reference::refined_grid_matrices`]). Served
-    /// columns are **shared handles** of the cached filter output
-    /// (`Arc` clones via [`LabelMatrix::push_shared`] — `O(1)` per
-    /// column, no vote memcpy), so both are bit-identical — the
-    /// `refine_cache` differential suite and bench guard pin this, and
-    /// the CoW suite additionally pins pointer identity across warm
-    /// rounds.
+    /// Every `(grid point, LF)` column is refiltered from its cached
+    /// distance vector each call — a linear pass over the column, which
+    /// is all the caching Eq. 4 needs.
     pub fn refined_grid_matrices(
-        &mut self,
+        &self,
         raw_train: &LabelMatrix,
         n_valid: usize,
     ) -> (Vec<LabelMatrix>, Vec<LabelMatrix>) {
-        // invariant: same matrix/lineage alignment contract as
-        // `refined_train_matrix`.
-        assert_eq!(raw_train.n_lfs(), self.n_registered(), "matrix/lineage mismatch");
-        let p_grid = self.config.p_grid.clone();
-
-        // The grid is position-keyed: slot k caches whatever radius
-        // p_grid[k] last produced, so a grown/shrunk grid resizes the
-        // outer vec and an edited percentile invalidates through the
-        // radius key alone.
-        let n_lfs = self.n_registered();
-        self.refined_cache.resize_with(p_grid.len(), Vec::new);
-        let mut train_out = Vec::with_capacity(p_grid.len());
-        let mut valid_out = Vec::with_capacity(p_grid.len());
-        for (k, &p) in p_grid.iter().enumerate() {
-            let mut train_m = LabelMatrix::new(raw_train.n_examples());
-            let mut valid_m = LabelMatrix::new(n_valid);
-            for j in 0..n_lfs {
-                let r = self.radius(j, p);
-                let raw = raw_train.column(j);
-                if self.refined_cache[k].len() <= j {
-                    self.refined_cache[k].resize_with(n_lfs, || None);
-                }
-                let fresh = matches!(
-                    &self.refined_cache[k][j],
-                    Some(e) if e.radius_bits == r.to_bits() && e.raw_token == raw.token()
-                );
-                if fresh {
-                    self.cache_stats.hits += 1;
-                } else {
-                    self.cache_stats.refilters += 1;
-                    // Cross-slot reuse: an earlier grid slot that filtered
-                    // the same raw column at the same radius already holds
-                    // exactly this slot's columns — share its handles
-                    // instead of filtering again. Stale sibling entries
-                    // are skipped by the same key check as the own-slot
-                    // test above.
-                    let reused = self.refined_cache[..k].iter().find_map(|slot| {
-                        slot.get(j)
-                            .and_then(Option::as_ref)
-                            .filter(|e| e.radius_bits == r.to_bits() && e.raw_token == raw.token())
-                            .map(|e| (Arc::clone(&e.train), Arc::clone(&e.valid)))
-                    });
-                    let (train, valid) = match reused {
-                        Some(pair) => {
-                            self.cache_stats.cross_slot_reuses += 1;
-                            pair
-                        }
-                        None => {
-                            let train = {
-                                let d = &self.train_dists[j];
-                                raw.filtered(|i| d[i as usize] <= r)
-                            };
-                            let valid = {
-                                let d = &self.valid_dists[j];
-                                self.raw_valid_cols[j].filtered(|i| d[i as usize] <= r)
-                            };
-                            (Arc::new(train), Arc::new(valid))
-                        }
-                    };
-                    self.refined_cache[k][j] = Some(RefinedEntry {
-                        radius_bits: r.to_bits(),
-                        raw_token: raw.token(),
-                        train,
-                        valid,
-                    });
-                }
-                // Serve by handle: a refcount bump per column, never a
-                // vote memcpy — warm rounds assemble every grid matrix
-                // in O(1) per column.
-                // invariant: the miss branch directly above filled
-                // this slot before falling through.
-                let entry = self.refined_cache[k][j].as_ref().expect("slot populated above");
-                train_m.push_shared(Arc::clone(&entry.train));
-                valid_m.push_shared(Arc::clone(&entry.valid));
-                self.cache_stats.shared_serves += 2;
-            }
-            train_out.push(train_m);
-            valid_out.push(valid_m);
-        }
-        (train_out, valid_out)
+        let p_grid = &self.config.p_grid;
+        let train = p_grid.iter().map(|&p| self.refined_train_matrix(raw_train, p)).collect();
+        let valid = p_grid.iter().map(|&p| self.refined_valid_matrix(p, n_valid)).collect();
+        (train, valid)
     }
 
     /// Select `p` from the grid by the validation quality of the
@@ -431,15 +259,9 @@ impl Contextualizer {
     /// Points without a stored seed (the first round, or a grown grid)
     /// fit from the estimator's initializer; closed-form estimators
     /// ignore seeds entirely. The sequential cold-restart oracle is
-    /// [`crate::reference::tune_p_cold`].
-    ///
-    /// Scoring is deduplicated the same way fitting is: grid points
-    /// whose fits resolved identical *and* whose refined validation
-    /// matrices are content-equal form a **score equivalence class**,
-    /// and only one posterior predict + log-likelihood runs per class —
-    /// bitwise the score every member would have computed
-    /// ([`nemo_labelmodel::FittedLabelModel::score_log_likelihood`]).
-    /// The per-grid-point oracle is [`crate::reference::tune_p_per_point`].
+    /// [`crate::reference::tune_p`]. Every grid point's soft labels are
+    /// then scored on the validation split with one posterior predict
+    /// each.
     ///
     /// On well-conditioned matrices warm and cold fits converge to the
     /// same fixed point within the EM tolerance, and the differential
@@ -458,21 +280,6 @@ impl Contextualizer {
         label_model: &dyn LabelModel,
         prior: [f64; 2],
     ) -> TunedRefinement {
-        self.tune_p_warm(raw_train, ds, label_model, prior, score_classes)
-    }
-
-    /// [`Contextualizer::tune_p`] with the score-class rule as an
-    /// argument: the cached refined matrices and warm parallel fits, then
-    /// [`Contextualizer::tune_grid`]. The warm seeds are replaced by this
-    /// round's fitted accuracies.
-    pub(crate) fn tune_p_warm(
-        &mut self,
-        raw_train: &LabelMatrix,
-        ds: &Dataset,
-        label_model: &dyn LabelModel,
-        prior: [f64; 2],
-        score_classes: impl FnOnce(&[usize], &[LabelMatrix]) -> Vec<usize>,
-    ) -> TunedRefinement {
         let (matrices, valid_matrices) = self.refined_grid_matrices(raw_train, ds.valid.n());
         let seeds = std::mem::take(&mut self.warm_accs);
         let fit_unique = |unique: &[usize], matrices: &[LabelMatrix]| {
@@ -480,19 +287,17 @@ impl Contextualizer {
                 label_model.fit_from(&matrices[k], prior, seeds.get(k).map(Vec::as_slice))
             })
         };
-        let (tuned, accs_by_k) =
-            self.tune_grid(matrices, valid_matrices, ds, prior, fit_unique, score_classes);
+        let (tuned, accs_by_k) = self.tune_grid(matrices, valid_matrices, ds, prior, fit_unique);
         self.warm_accs = accs_by_k;
         tuned
     }
 
     /// The fit-and-select core of percentile tuning, shared by
-    /// [`Contextualizer::tune_p`] and the oracles in [`mod@crate::reference`]:
+    /// [`Contextualizer::tune_p`] and its oracle [`crate::reference::tune_p`]:
     /// collapse grid points with identical refined train matrices, fit
-    /// the unique ones with `fit_unique(unique, matrices)`, score once
-    /// per class of `score_classes(repr, valid_matrices)` (each grid
-    /// point's representative), and pick `p`. Returns the tuned
-    /// refinement and every grid point's fitted LF accuracies.
+    /// the unique ones with `fit_unique(unique, matrices)`, score every
+    /// grid point, and pick `p`. Returns the tuned refinement and every
+    /// grid point's fitted LF accuracies.
     pub(crate) fn tune_grid(
         &mut self,
         mut matrices: Vec<LabelMatrix>,
@@ -500,7 +305,6 @@ impl Contextualizer {
         ds: &Dataset,
         prior: [f64; 2],
         fit_unique: impl FnOnce(&[usize], &[LabelMatrix]) -> Vec<Box<dyn FittedLabelModel>>,
-        score_classes: impl FnOnce(&[usize], &[LabelMatrix]) -> Vec<usize>,
     ) -> (TunedRefinement, Vec<Vec<f64>>) {
         // invariant: an empty grid is a construction-time configuration
         // bug, not a runtime state; documented panic.
@@ -566,7 +370,6 @@ impl Contextualizer {
                 )));
             }
         }
-        let score_repr = score_classes(&repr, &valid_matrices);
 
         // Degenerate case: with an **empty validation split** every grid
         // point's mean log-likelihood is vacuously zero, and the `>=`
@@ -576,7 +379,7 @@ impl Contextualizer {
         // a precision gain that nothing can certify — so the tie-break is
         // made explicit: the *largest* percentile in the grid (widest
         // coverage) wins regardless of grid order, with the vacuous score
-        // of 0.0 reported. `tests/refine_cache_differential.rs` pins this
+        // of 0.0 reported. `tests/contextualizer_paths.rs` pins this
         // against a deliberately unsorted grid. No posterior is predicted
         // on an empty split.
         let widest_k = if ds.valid.n() == 0 {
@@ -591,21 +394,16 @@ impl Contextualizer {
             None
         };
 
-        // Score once per class representative, then select with the same
-        // `>=` scan as ever: among genuine ties the largest grid index
-        // (and with a sorted grid, the widest coverage) wins.
+        // Score every grid point, then select with the same `>=` scan as
+        // ever: among genuine ties the largest grid index (and with a
+        // sorted grid, the widest coverage) wins.
         let mut scores = vec![0.0f64; p_grid.len()];
         if widest_k.is_none() {
-            for k in 0..p_grid.len() {
-                if score_repr[k] == k {
-                    // invariant: every grid point was fitted (or aliased
-                    // to a fitted representative) in the loop above.
-                    let fit = fitted[k].as_ref().expect("fitted");
-                    self.tune_predicts += 1;
-                    scores[k] = fit.score_log_likelihood(&valid_matrices[k], &ds.valid.labels);
-                } else {
-                    scores[k] = scores[score_repr[k]];
-                }
+            for (k, score) in scores.iter_mut().enumerate() {
+                // invariant: every grid point was fitted (or aliased to a
+                // fitted representative) in the loop above.
+                let fit = fitted[k].as_ref().expect("fitted");
+                *score = fit.score_log_likelihood(&valid_matrices[k], &ds.valid.labels);
             }
         }
         let best_k = match widest_k {
@@ -632,40 +430,6 @@ impl Contextualizer {
         };
         (tuned, accs_by_k)
     }
-}
-
-/// Score equivalence classes of the production `tune_p`: grid points with
-/// the same train-side representative `repr[k]` carry bitwise-equal
-/// fitted parameters (the non-representatives' fits are *rebuilt from*
-/// the representative's accuracies), so whenever their refined
-/// validation matrices are also content-equal, a posterior predict at
-/// either point runs the identical float program — the class
-/// representative's score IS every member's score, bit for bit. Each grid
-/// point therefore maps to the first earlier point with the same fit and
-/// an equal validation matrix, and only class representatives predict.
-/// `tests/matrix_cow_differential.rs` pins bitwise score and selection
-/// agreement against the per-point oracle.
-///
-/// Validation-matrix equality is again witnessed by coverage signatures
-/// (the valid-side kept-sets are filtered from the same raw valid column
-/// by the same nested radii, so the monotone argument of the fit dedup
-/// applies verbatim), keyed together with the train-side representative:
-/// `O(grid · lfs)` instead of the pairwise `O(grid² · coverage)` scan,
-/// and still catching two slots whose *different* radii quantize to
-/// equal matrices.
-pub(crate) fn score_classes(repr: &[usize], valid_matrices: &[LabelMatrix]) -> Vec<usize> {
-    // lint: allow(determinism/hash-collections): keyed dedup, read via
-    // lookups in grid order; never iterated.
-    let mut first_of: HashMap<(usize, Vec<usize>), usize> =
-        HashMap::with_capacity(valid_matrices.len());
-    valid_matrices
-        .iter()
-        .enumerate()
-        .map(|(k, m)| {
-            let sig: Vec<usize> = m.columns().map(LfColumn::coverage).collect();
-            *first_of.entry((repr[k], sig)).or_insert(k)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -798,7 +562,7 @@ mod tests {
         let model = GenerativeModel::default();
         for _round in 0..3 {
             let warm = warm_ctx.tune_p(&matrix, &ds, &model, ds.prior());
-            let cold = reference::tune_p_cold(&mut cold_ctx, &matrix, &ds, &model, ds.prior());
+            let cold = reference::tune_p(&mut cold_ctx, &matrix, &ds, &model, ds.prior());
             assert_eq!(warm.p, cold.p, "tuned percentile diverged");
             assert!(
                 (warm.valid_score - cold.valid_score).abs() < 1e-4,
@@ -853,124 +617,9 @@ mod tests {
     }
 
     #[test]
-    fn refined_grid_matrices_cache_is_bit_identical_to_rebuild() {
-        let ds = toy_text(1);
-        let (_, matrix, lineage) = setup(&ds, 6, 21);
-        let mut incr = Contextualizer::new(ContextualizerConfig::default());
-        incr.sync(&lineage, &ds);
-        let mut rebuild = Contextualizer::new(ContextualizerConfig::default());
-        rebuild.sync(&lineage, &ds);
-        // Two rounds: a cold fill and a fully warm round.
-        for round in 0..2 {
-            let (ti, vi) = incr.refined_grid_matrices(&matrix, ds.valid.n());
-            let (tr, vr) = reference::refined_grid_matrices(&mut rebuild, &matrix, ds.valid.n());
-            for (k, ((a, b), (c, d))) in ti.iter().zip(&tr).zip(vi.iter().zip(&vr)).enumerate() {
-                for j in 0..a.n_lfs() {
-                    assert_eq!(
-                        a.column(j).entries(),
-                        b.column(j).entries(),
-                        "train round {round} k={k} j={j}"
-                    );
-                    assert_eq!(
-                        c.column(j).entries(),
-                        d.column(j).entries(),
-                        "valid round {round} k={k} j={j}"
-                    );
-                }
-            }
-        }
-        let stats = incr.refine_cache_stats();
-        let slots = incr.config.p_grid.len() * 6;
-        assert_eq!(stats.refilters, slots, "cold round filters every slot exactly once");
-        assert_eq!(stats.hits, slots, "warm round must serve every slot from the cache");
-    }
-
-    #[test]
-    fn warm_round_refilters_only_new_lfs() {
-        let ds = toy_text(1);
-        let (_, matrix, lineage) = setup(&ds, 6, 22);
-        let grid = ContextualizerConfig::default().p_grid.len();
-        let mut ctx = Contextualizer::new(ContextualizerConfig::default());
-        // Register and refine the first 5 LFs, then grow the lineage by
-        // one: only the new LF's (grid) columns may be refiltered.
-        ctx.register_batch(&lineage.tracked()[..5], &ds);
-        let prefix = {
-            let mut m = LabelMatrix::new(matrix.n_examples());
-            for j in 0..5 {
-                m.push(matrix.column(j).clone());
-            }
-            m
-        };
-        ctx.refined_grid_matrices(&prefix, ds.valid.n());
-        let cold = ctx.refine_cache_stats();
-        assert_eq!(cold.refilters, grid * 5);
-        ctx.sync(&lineage, &ds);
-        ctx.refined_grid_matrices(&matrix, ds.valid.n());
-        let warm = ctx.refine_cache_stats();
-        assert_eq!(warm.refilters - cold.refilters, grid, "one refilter per grid point");
-        assert_eq!(warm.hits, grid * 5, "all previously cached columns reused");
-    }
-
-    #[test]
-    fn warm_round_grid_assembly_is_zero_copy() {
-        // After the cold fill, a warm round must (a) refilter nothing,
-        // (b) serve every column as a shared handle, and (c) hand out the
-        // *same* vote buffers as the previous round — pointer identity is
-        // the proof that assembly performed zero per-column memcpys.
-        let ds = toy_text(1);
-        let (mut ctx, matrix, _) = setup(&ds, 6, 31);
-        let slots = ctx.config.p_grid.len() * 6;
-        let (t1, v1) = ctx.refined_grid_matrices(&matrix, ds.valid.n());
-        let cold = ctx.refine_cache_stats();
-        assert_eq!(cold.refilters, slots);
-        assert_eq!(cold.shared_serves, 2 * slots, "every serve is a shared handle");
-        let (t2, v2) = ctx.refined_grid_matrices(&matrix, ds.valid.n());
-        let warm = ctx.refine_cache_stats();
-        assert_eq!(warm.refilters, cold.refilters, "warm round must not rebuild any column");
-        assert_eq!(warm.shared_serves - cold.shared_serves, 2 * slots);
-        for k in 0..t1.len() {
-            assert_eq!(t1[k].shared_columns_with(&t2[k]), 6, "train k={k} must be pointer-shared");
-            assert_eq!(v1[k].shared_columns_with(&v2[k]), 6, "valid k={k} must be pointer-shared");
-            for j in 0..6 {
-                assert!(
-                    std::sync::Arc::ptr_eq(t1[k].shared_column(j), t2[k].shared_column(j)),
-                    "train k={k} j={j} was deep-copied"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn class_and_per_point_scoring_agree_bitwise() {
-        let ds = toy_text(1);
-        let (mut class_ctx, matrix, lineage) = setup(&ds, 8, 32);
-        let mut pp_ctx = Contextualizer::new(ContextualizerConfig::default());
-        pp_ctx.sync(&lineage, &ds);
-        let model = GenerativeModel::default();
-        for round in 0..3 {
-            let a = class_ctx.tune_p(&matrix, &ds, &model, ds.prior());
-            let b = reference::tune_p_per_point(&mut pp_ctx, &matrix, &ds, &model, ds.prior());
-            assert_eq!(a.p, b.p, "round {round}: tuned percentile diverged");
-            assert_eq!(
-                a.valid_score.to_bits(),
-                b.valid_score.to_bits(),
-                "round {round}: score not bitwise identical"
-            );
-            assert_eq!(a.train_matrix, b.train_matrix, "round {round}: tuned matrix diverged");
-        }
-        let grid = class_ctx.config.p_grid.len();
-        assert_eq!(pp_ctx.tune_predicts(), 3 * grid, "per-point predicts every grid point");
-        assert!(
-            class_ctx.tune_predicts() <= pp_ctx.tune_predicts(),
-            "class dedup must never predict more often"
-        );
-    }
-
-    #[test]
-    fn duplicate_grid_points_share_one_predict() {
-        // Duplicated percentiles refine to identical train AND valid
-        // matrices, so they must collapse into one fit and one posterior
-        // predict per round under the class path.
+    fn duplicate_grid_points_share_one_fit() {
+        // Duplicated percentiles refine to identical train matrices, so
+        // each duplicated pair must collapse into one label-model fit.
         let ds = toy_text(1);
         let (_, matrix, lineage) = setup(&ds, 5, 33);
         let mut ctx = Contextualizer::new(ContextualizerConfig {
@@ -980,49 +629,7 @@ mod tests {
         ctx.sync(&lineage, &ds);
         let tuned = ctx.tune_p(&matrix, &ds, &GenerativeModel::default(), ds.prior());
         assert_eq!(ctx.tune_fits(), 2, "duplicate grid points must share fits");
-        assert_eq!(ctx.tune_predicts(), 2, "duplicate grid points must share predicts");
         assert!(ctx.config.p_grid.contains(&tuned.p));
-    }
-
-    #[test]
-    fn duplicate_grid_points_share_cached_columns() {
-        // A duplicated percentile's slots miss their own-slot key on the
-        // cold round (still counted as refilters) but must recover every
-        // column from the earlier twin slot by handle — pointer-equal
-        // columns, no second filter pass.
-        let ds = toy_text(1);
-        let (_, matrix, lineage) = setup(&ds, 5, 34);
-        let mut ctx = Contextualizer::new(ContextualizerConfig {
-            p_grid: vec![50.0, 50.0, 100.0],
-            ..Default::default()
-        });
-        ctx.sync(&lineage, &ds);
-        let (t, v) = ctx.refined_grid_matrices(&matrix, ds.valid.n());
-        let stats = ctx.refine_cache_stats();
-        assert_eq!(stats.refilters, 3 * 5, "cold round: every slot's own-slot key misses");
-        assert!(
-            stats.cross_slot_reuses >= 5,
-            "duplicated grid point must reuse its sibling's columns, got {}",
-            stats.cross_slot_reuses
-        );
-        for j in 0..5 {
-            assert!(Arc::ptr_eq(t[0].shared_column(j), t[1].shared_column(j)), "train j={j}");
-            assert!(Arc::ptr_eq(v[0].shared_column(j), v[1].shared_column(j)), "valid j={j}");
-        }
-    }
-
-    #[test]
-    fn invalidate_refined_cache_refilters_dropped_slots() {
-        let ds = toy_text(1);
-        let (mut ctx, matrix, _) = setup(&ds, 4, 23);
-        let grid = ctx.config.p_grid.len();
-        ctx.refined_grid_matrices(&matrix, ds.valid.n());
-        ctx.invalidate_refined_cache_from(3);
-        let before = ctx.refine_cache_stats();
-        ctx.refined_grid_matrices(&matrix, ds.valid.n());
-        let after = ctx.refine_cache_stats();
-        assert_eq!(after.refilters - before.refilters, grid);
-        assert_eq!(after.hits - before.hits, grid * 3);
     }
 
     #[test]

@@ -123,18 +123,13 @@ impl LearningPipeline for StandardPipeline {
 
 /// Nemo's contextualized learning pipeline (Figure 4, bottom path).
 ///
-/// The pipeline owns the [`Contextualizer`] and therefore all of its
-/// cross-round caches: the per-LF distance tables, the EM warm-start
-/// seeds, and the cross-round refined-column cache. A
-/// [`crate::session::Session`] drives `learn` every round with the
-/// *same* pipeline instance, so `Contextualizer::sync` registers only the
-/// round's new LFs and `tune_p` refilters only their columns — the rest
-/// of the per-grid-point refined matrices are assembled from shared
-/// `Arc` handles of the cached columns (`O(1)` per column, zero vote
-/// memcpys), and grid points whose fits and refined validation matrices
-/// coincide share one posterior predict. Constructing a fresh
-/// pipeline per round forfeits exactly that reuse (results are identical
-/// either way; the caches never change outputs).
+/// The pipeline owns the [`Contextualizer`] and therefore both of its
+/// cross-round caches: the per-LF distance tables and the EM warm-start
+/// seeds. A [`crate::session::Session`] drives `learn` every round with
+/// the *same* pipeline instance, so `Contextualizer::sync` registers only
+/// the round's new LFs and `tune_p` seeds each grid point's fit from the
+/// previous round. Constructing a fresh pipeline per round forfeits that
+/// reuse: every LF is re-registered and every fit starts cold.
 pub struct ContextualizedPipeline {
     ctx: Contextualizer,
 }
@@ -146,15 +141,13 @@ impl ContextualizedPipeline {
     }
 
     /// Access the underlying contextualizer (diagnostics — e.g.
-    /// [`Contextualizer::refine_cache_stats`] and
     /// [`Contextualizer::tune_fits`]).
     pub fn contextualizer(&self) -> &Contextualizer {
         &self.ctx
     }
 
     /// Mutable access to the underlying contextualizer (checkpoint
-    /// restoration via [`Contextualizer::set_warm_seeds`] /
-    /// [`Contextualizer::invalidate_refined_cache_from`]).
+    /// restoration via [`Contextualizer::set_warm_seeds`]).
     pub fn contextualizer_mut(&mut self) -> &mut Contextualizer {
         &mut self.ctx
     }

@@ -221,10 +221,11 @@ pub enum PoolError {
         source: RestoreError,
     },
     /// [`SessionPool::admit`] was given a configuration no session can
-    /// run with (the same check [`crate::Session::restore`] applies, so
-    /// an admitted tenant stays restorable after eviction).
+    /// run with (the same checks [`crate::Session::restore`] and
+    /// [`NemoSystem::restore_with`] apply, so an admitted tenant stays
+    /// restorable after eviction).
     InvalidConfig {
-        /// The offending [`IdpConfig`] field.
+        /// The offending [`IdpConfig`] or pool contextualizer field.
         field: &'static str,
     },
     /// The [`CheckpointStore`] failed.
@@ -360,12 +361,15 @@ impl<'a> SessionPool<'a> {
     ///
     /// # Errors
     ///
-    /// [`PoolError::InvalidConfig`] if `config` is one
-    /// [`crate::Session::restore`] would reject, before any session is
-    /// built or evicted; [`PoolError::Store`] if making room requires an
-    /// eviction and the store rejects the checkpoint.
+    /// [`PoolError::InvalidConfig`] if `config` or the pool's
+    /// [`PoolConfig::ctx`] is one a restore would reject, before any
+    /// session is built or evicted; [`PoolError::Store`] if making room
+    /// requires an eviction and the store rejects the checkpoint.
     pub fn admit(&mut self, config: IdpConfig) -> Result<SessionId, PoolError> {
-        config.validate().map_err(|field| PoolError::InvalidConfig { field })?;
+        config
+            .validate()
+            .and_then(|()| self.config.ctx.validate())
+            .map_err(|field| PoolError::InvalidConfig { field })?;
         self.make_room(1)?;
         let engine = engine_for(&config);
         let system = Box::new(NemoSystem::with_components(
@@ -931,6 +935,24 @@ mod tests {
         assert!(pool.is_resident(a));
         assert_eq!(pool.stats().admitted, 1);
         assert_eq!(pool.stats().evictions, 0);
+    }
+
+    #[test]
+    fn admit_rejects_invalid_percentile_grids() {
+        let arts = artifacts();
+        for p_grid in [vec![], vec![150.0], vec![f64::NAN]] {
+            let ctx = ContextualizerConfig { p_grid, ..Default::default() };
+            let config = PoolConfig { max_resident: 1, workers: Some(1), ctx };
+            let mut pool = SessionPool::new(&arts, config);
+            // A grid `tune_p` cannot scan would panic the first round; it
+            // must be refused at admission instead.
+            assert!(matches!(
+                pool.admit(idp(4, 1)),
+                Err(PoolError::InvalidConfig { field: "p_grid" })
+            ));
+            assert_eq!(pool.session_count(), 0);
+            assert_eq!(pool.stats().admitted, 0);
+        }
     }
 
     #[test]

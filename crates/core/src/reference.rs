@@ -14,11 +14,11 @@
 //! cold fits coincide, so whole sessions agree bit for bit.
 
 use crate::config::{ContextualizerConfig, IdpConfig};
-use crate::contextualizer::{score_classes, Contextualizer, TunedRefinement};
+use crate::contextualizer::{Contextualizer, TunedRefinement};
 use crate::idp::ModelOutputs;
 use crate::pipeline::{end_model_outputs, LearningPipeline, UNIFORM_BALANCE};
 use nemo_data::{Dataset, Features};
-use nemo_labelmodel::{FittedLabelModel, LabelModel};
+use nemo_labelmodel::LabelModel;
 use nemo_lf::{LabelMatrix, Lineage, TrackedLf};
 use nemo_sparse::Distance;
 
@@ -71,43 +71,11 @@ pub fn register_batch_naive(ctx: &mut Contextualizer, recs: &[TrackedLf], ds: &D
     ctx.push_registered(recs, ds, train_ds, valid_ds);
 }
 
-/// Refilter every LF column at every grid point (the pre-cache path) —
-/// the oracle for [`Contextualizer::refined_grid_matrices`]. Every slot
-/// counts as a refilter; none is a cache hit.
-pub fn refined_grid_matrices(
-    ctx: &mut Contextualizer,
-    raw_train: &LabelMatrix,
-    n_valid: usize,
-) -> (Vec<LabelMatrix>, Vec<LabelMatrix>) {
-    // invariant: same matrix/lineage alignment contract as
-    // `Contextualizer::refined_train_matrix`.
-    assert_eq!(raw_train.n_lfs(), ctx.n_registered(), "matrix/lineage mismatch");
-    let p_grid = &ctx.config.p_grid;
-    let train = p_grid.iter().map(|&p| ctx.refined_train_matrix(raw_train, p)).collect();
-    let valid = p_grid.iter().map(|&p| ctx.refined_valid_matrix(p, n_valid)).collect();
-    ctx.cache_stats.refilters += ctx.config.p_grid.len() * ctx.n_registered();
-    (train, valid)
-}
-
-/// Fit the unique grid points sequentially from the estimator's
-/// initializer (the pre-warm-start loop).
-fn cold_fits<'m>(
-    label_model: &'m dyn LabelModel,
-    prior: [f64; 2],
-) -> impl FnOnce(&[usize], &[LabelMatrix]) -> Vec<Box<dyn FittedLabelModel>> + 'm {
-    move |unique, matrices| unique.iter().map(|&k| label_model.fit(&matrices[k], prior)).collect()
-}
-
-/// Every grid point is its own score class: one predict per point.
-fn per_point(_repr: &[usize], valid_matrices: &[LabelMatrix]) -> Vec<usize> {
-    (0..valid_matrices.len()).collect()
-}
-
-/// The pre-incremental percentile tuner: refilter every grid point
-/// ([`refined_grid_matrices`]), fit every unique grid point cold and in
-/// sequence, and predict every grid point. Warm seeds are neither read
-/// nor written. Bit-identical to [`Contextualizer::tune_p`] under a
-/// seed-free estimator; within EM tolerance otherwise.
+/// The pre-incremental percentile tuner: fit every unique grid point
+/// cold and in sequence from the estimator's initializer, instead of
+/// warm-seeded and in parallel. Warm seeds are neither read nor written.
+/// Bit-identical to [`Contextualizer::tune_p`] under a seed-free
+/// estimator; within EM tolerance otherwise.
 pub fn tune_p(
     ctx: &mut Contextualizer,
     raw_train: &LabelMatrix,
@@ -115,36 +83,11 @@ pub fn tune_p(
     label_model: &dyn LabelModel,
     prior: [f64; 2],
 ) -> TunedRefinement {
-    let (matrices, valid_matrices) = refined_grid_matrices(ctx, raw_train, ds.valid.n());
-    ctx.tune_grid(matrices, valid_matrices, ds, prior, cold_fits(label_model, prior), per_point).0
-}
-
-/// [`Contextualizer::tune_p`] with only the fits swapped for cold
-/// sequential ones — isolates the warm start (cached refinement and
-/// score-class dedup stay on). Warm seeds are neither read nor written.
-pub fn tune_p_cold(
-    ctx: &mut Contextualizer,
-    raw_train: &LabelMatrix,
-    ds: &Dataset,
-    label_model: &dyn LabelModel,
-    prior: [f64; 2],
-) -> TunedRefinement {
     let (matrices, valid_matrices) = ctx.refined_grid_matrices(raw_train, ds.valid.n());
-    let fits = cold_fits(label_model, prior);
-    ctx.tune_grid(matrices, valid_matrices, ds, prior, fits, score_classes).0
-}
-
-/// [`Contextualizer::tune_p`] with only the scoring swapped for one
-/// predict per grid point — isolates the score-class dedup (cached
-/// refinement and warm parallel fits stay on, seeds included).
-pub fn tune_p_per_point(
-    ctx: &mut Contextualizer,
-    raw_train: &LabelMatrix,
-    ds: &Dataset,
-    label_model: &dyn LabelModel,
-    prior: [f64; 2],
-) -> TunedRefinement {
-    ctx.tune_p_warm(raw_train, ds, label_model, prior, per_point)
+    let cold_fits = |unique: &[usize], matrices: &[LabelMatrix]| {
+        unique.iter().map(|&k| label_model.fit(&matrices[k], prior)).collect()
+    };
+    ctx.tune_grid(matrices, valid_matrices, ds, prior, cold_fits).0
 }
 
 /// [`crate::ContextualizedPipeline`] on every reference arm: naive

@@ -296,11 +296,6 @@ impl<'a> Session<'a> {
     }
 
     /// Raw train label matrix of collected LFs.
-    ///
-    /// Columns are `Arc`-shared ([`nemo_lf::LabelMatrix`]'s
-    /// copy-on-write storage), so cloning the returned matrix — per-round
-    /// trajectory recording, checkpoints, the replay benches — copies `m`
-    /// handles, not `m` vote vectors.
     pub fn matrix(&self) -> &LabelMatrix {
         &self.matrix
     }
@@ -771,26 +766,6 @@ mod tests {
         }
         let (rebuilds, deltas) = s.aggregates().sync_counts();
         assert!(deltas > 0, "delta path never exercised ({rebuilds} rebuilds)");
-    }
-
-    #[test]
-    fn matrix_snapshots_share_vote_buffers() {
-        // Per-round trajectory recording clones the session matrix; with
-        // Arc-backed storage every snapshot must share the collected
-        // columns' vote buffers instead of memcpying them.
-        let ds = toy_text(1);
-        let mut s = Session::new(&ds, cfg(6, 9));
-        let mut selector = SeuSelector::new();
-        let mut user = SimulatedUser::default();
-        let mut pipeline = StandardPipeline;
-        for _ in 0..6 {
-            s.step(&mut selector, &mut user, &mut pipeline);
-        }
-        let n_lfs = s.matrix().n_lfs();
-        assert!(n_lfs > 0, "session collected no LFs");
-        let snapshot = s.matrix().clone();
-        assert_eq!(snapshot.shared_columns_with(s.matrix()), n_lfs);
-        assert_eq!(&snapshot, s.matrix());
     }
 
     #[test]

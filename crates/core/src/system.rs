@@ -276,7 +276,8 @@ impl<'a> NemoSystem<'a> {
     /// # Errors
     ///
     /// Any [`RestoreError`] from validating the checkpoint against `ds`;
-    /// [`RestoreError::ValueOutOfRange`] if a warm seed is non-finite;
+    /// [`RestoreError::ValueOutOfRange`] if a warm seed is non-finite or
+    /// `ctx_config` holds an empty or out-of-range percentile grid;
     /// [`RestoreError::EngineStateMismatch`] if the engine-state section
     /// does not fit the configured engine.
     pub fn restore_with(
@@ -284,6 +285,7 @@ impl<'a> NemoSystem<'a> {
         ckpt: &SessionCheckpoint,
         ctx_config: ContextualizerConfig,
     ) -> Result<Self, RestoreError> {
+        ctx_config.validate().map_err(|field| RestoreError::ValueOutOfRange { field })?;
         if ckpt.warm_seeds.iter().flatten().any(|s| !s.is_finite()) {
             return Err(RestoreError::ValueOutOfRange { field: "warm_seeds" });
         }
@@ -387,6 +389,20 @@ mod tests {
             NemoSystem::restore(&ds, &ckpt),
             Err(RestoreError::ValueOutOfRange { field: "warm_seeds" })
         ));
+    }
+
+    #[test]
+    fn restore_with_rejects_invalid_percentile_grids() {
+        use crate::error::RestoreError;
+        let ds = toy_text(1);
+        let ckpt = NemoSystem::new(&ds, cfg(10, 8)).checkpoint();
+        for p_grid in [vec![], vec![150.0], vec![f64::NAN]] {
+            let ctx = ContextualizerConfig { p_grid, ..Default::default() };
+            assert!(matches!(
+                NemoSystem::restore_with(&ds, &ckpt, ctx),
+                Err(RestoreError::ValueOutOfRange { field: "p_grid" })
+            ));
+        }
     }
 
     #[test]

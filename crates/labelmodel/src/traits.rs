@@ -62,11 +62,10 @@ pub trait FittedLabelModel: Send + Sync {
     /// Predict on `matrix` and score the posteriors against gold
     /// `labels` in one call
     /// ([`crate::Posterior::mean_log_likelihood`]) — the validation
-    /// entry point percentile tuning drives once per score equivalence
-    /// class. Deterministic given the fitted parameters and the matrix
+    /// entry point percentile tuning drives once per grid point.
+    /// Deterministic given the fitted parameters and the matrix
     /// *contents*: two calls over content-equal matrices return bitwise
-    /// the same score, which is why a class representative's score can
-    /// stand in for every member's.
+    /// the same score.
     fn score_log_likelihood(&self, matrix: &LabelMatrix, labels: &[nemo_lf::Label]) -> f64 {
         self.predict(matrix).mean_log_likelihood(labels)
     }

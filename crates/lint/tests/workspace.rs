@@ -45,7 +45,7 @@ const DIFFERENTIALS: &str = "fn differentials() {\n\
     register_batch_naive();\n\
     distances();\n\
     tune_p();\n\
-    tune_p_cold();\n\
+    score_naive();\n\
     let _ = ReferencePipeline;\n\
     let _ = SelectionStrategy::A;\n\
 }\n";
@@ -72,7 +72,7 @@ impl MiniWorkspace {
             "//! Oracles.\n\
              /// Oracle.\npub fn register_batch_naive() {}\n\
              /// Oracle.\npub fn tune_p() {}\n\
-             /// Oracle.\npub fn tune_p_cold() {}\n\
+             /// Oracle.\npub fn score_naive() {}\n\
              /// Oracle.\npub struct ReferencePipeline;\n\
              /// Oracle.\npub fn distances() {}\n\
              fn private_helper() {}\n",

@@ -3,10 +3,9 @@
 //! full interactive `Session` driven by [`SeuSelector`] (over the
 //! session's delta-synced aggregates) must select the same development
 //! example and tune the same percentile every round with
-//! [`ContextualizedPipeline`] (warm parallel fits, refined-column cache,
-//! score-class dedup) as with [`ReferencePipeline`] (cold sequential
-//! fits, refilter everything, one predict per grid point, naive
-//! registration).
+//! [`ContextualizedPipeline`] (batched indexed registration, warm-seeded
+//! parallel fits) as with [`ReferencePipeline`] (naive per-LF
+//! registration, cold sequential fits).
 //!
 //! Under the seed-free default estimator (MeTaL, whose `fit_from` is
 //! `fit`) the two pipelines are bit-identical, so sessions must agree bit
@@ -56,11 +55,10 @@ fn assert_identical_decisions(a: &Trace, b: &Trace, what: &str, seed: u64) {
     );
 }
 
-/// Under the seed-free default estimator the production pipeline's
-/// optimisations are bit-identical to the reference session on the toy
-/// corpus.
+/// Under the seed-free default estimator a production-pipeline session is
+/// bit-identical to a `ReferencePipeline` session on the toy corpus.
 #[test]
-fn full_session_identical_dirty_set_vs_full_rescore() {
+fn full_session_bit_identical_to_reference_pipeline_on_toy() {
     let ds = toy_text(1);
     let metal = LabelModelKind::Metal;
     for seed in [1u64, 7] {
@@ -73,8 +71,8 @@ fn full_session_identical_dirty_set_vs_full_rescore() {
     }
 }
 
-/// Warm vs cold EM (with the bit-identical refinement cache and score
-/// dedup riding along) on the well-conditioned Amazon quick workload.
+/// Warm vs cold EM (with the bit-identical batched registration riding
+/// along) on the well-conditioned Amazon quick workload.
 #[test]
 fn full_session_identical_warm_vs_cold_and_combined() {
     let ds = build(DatasetName::Amazon, Profile::Quick, 3);
@@ -99,8 +97,7 @@ fn full_session_bit_identical_to_reference_oracles_on_amazon() {
 }
 
 /// Default-constructed components run the incremental paths: the
-/// pipeline's contextualizer serves cached columns and keeps warm seeds
-/// for every grid point.
+/// pipeline's contextualizer keeps warm seeds for every grid point.
 #[test]
 fn production_defaults_are_the_incremental_paths() {
     let ds = toy_text(1);
@@ -108,6 +105,5 @@ fn production_defaults_are_the_incremental_paths() {
     let (mut selector, mut pipeline) = (SeuSelector::new(), ContextualizedPipeline::default());
     run_session(&ds, config, &mut selector, &mut pipeline);
     let ctx = pipeline.contextualizer();
-    assert!(ctx.refine_cache_stats().hits > 0, "refined-column cache never hit");
     assert_eq!(ctx.warm_seeds().len(), ctx.config.p_grid.len(), "warm seeds not kept");
 }
