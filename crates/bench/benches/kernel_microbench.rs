@@ -19,7 +19,7 @@
 use std::time::Instant;
 
 use nemo_core::config::{ContextualizerConfig, IdpConfig};
-use nemo_core::contextualizer::Contextualizer;
+use nemo_core::contextualizer::{Contextualizer, PivotRowMap};
 use nemo_core::idp::{IdpSession, ModelOutputs, RandomSelector, SelectionView};
 use nemo_core::oracle::{SimulatedUser, User};
 use nemo_core::pipeline::StandardPipeline;
@@ -374,7 +374,7 @@ fn tune_p_warm_bench(
 
     // Previous round (one LF fewer): capture its per-grid-point seeds.
     let mut prev_ctx = Contextualizer::new(ContextualizerConfig::default());
-    prev_ctx.register_batch(&lineage.tracked()[..n_lfs - 1], ds);
+    prev_ctx.register_batch(&lineage.tracked()[..n_lfs - 1], ds, &PivotRowMap::new());
     prev_ctx.tune_p(&prev_matrix, ds, &warm_model, prior);
     let seeds: Vec<Vec<f64>> = prev_ctx.warm_seeds().to_vec();
 

@@ -11,9 +11,16 @@
 //!   [`crate::session::SeuAggregates::new`] rebuild (exact integer fields,
 //!   freshly-summed floats — the state a never-interrupted session is
 //!   periodically re-anchored to);
-//! - the contextualizer's per-LF distance tables are re-registered in one
+//! - the contextualizer's per-LF distance rows are re-registered in one
 //!   batch on the next learning round (batched registration is
-//!   bit-identical to incremental registration, differential-tested).
+//!   bit-identical to incremental registration, differential-tested); a
+//!   [`crate::SessionPool`] registers them just before that round,
+//!   adopting the rows its pivot store already holds and computing only
+//!   the rest.
+//!   A row depends only on the dataset, the distance and the development
+//!   example, so the checkpoint never carries one: a hostile checkpoint
+//!   can only choose which trusted rows are reused, after its lineage
+//!   passed validation.
 //!
 //! `tests/session_checkpoint.rs` proves the resulting sessions make the
 //! same selections, tune the same percentiles, and produce bit-identical

@@ -13,10 +13,16 @@
 //! training and validation splits are computed once per LF and cached —
 //! refinement at any `p` is then a cheap filter.
 //!
+//! Those cached rows ([`PivotRows`]) are a pure function of (dataset,
+//! distance, development example), so they are held by `Arc` and can be
+//! shared: a [`crate::SessionPool`] keeps one store of them and hands a
+//! restored session the rows other sessions already computed.
+//!
 //! Registration is **batched**: all of a round's new LFs go through
-//! [`Contextualizer::register_batch`], which computes every train/valid
-//! distance vector in one pass over the feature matrices' inverted-index
-//! engine ([`nemo_data::Features::distances`], blocked dense kernel),
+//! [`Contextualizer::register_batch`], which adopts the rows it is given
+//! and computes every missing train/valid distance vector in one pass
+//! over the feature matrices' inverted-index engine
+//! ([`nemo_data::Features::distances`], blocked dense kernel),
 //! partitioned over the pivots in parallel. The per-LF naive scan it
 //! replaced is the test oracle [`crate::reference::register_batch_naive`]:
 //! bit-identical on sparse features, within `1e-9` relative on dense ones.
@@ -32,7 +38,50 @@ use nemo_sparse::parallel::par_map_min;
 use nemo_sparse::stats::percentile_of_sorted;
 // lint: allow(determinism/hash-collections): the fit-dedup map below is
 // lookup-only (entry/or_insert); its iteration order is never observed.
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
+
+/// The distance rows of one development example (a *pivot*): everything
+/// registration derives from it. They depend only on the dataset, the
+/// distance and the example, so every LF written from that example — in
+/// any session over the same dataset and distance — can share one copy.
+#[derive(Debug, PartialEq)]
+pub struct PivotRows {
+    train: Vec<f64>,
+    /// `train` sorted ascending: the table radii are read from.
+    train_sorted: Vec<f64>,
+    valid: Vec<f64>,
+}
+
+impl PivotRows {
+    /// Bytes of distance data held: `(2·n_train + n_valid)·8`.
+    pub fn bytes(&self) -> usize {
+        (self.train.len() + self.train_sorted.len() + self.valid.len()) * std::mem::size_of::<f64>()
+    }
+
+    /// One pivot's rows per pair of precomputed distance vectors, the
+    /// radius tables sorted in parallel.
+    pub(crate) fn batch(train_ds: Vec<Vec<f64>>, valid_ds: Vec<Vec<f64>>) -> Vec<Arc<Self>> {
+        let sorted: Vec<Vec<f64>> = par_map_min(&train_ds, 2, |_, d: &Vec<f64>| {
+            let mut s = d.clone();
+            // invariant: distances are finite — both kernels compute
+            // sums/square roots of finite feature values, and
+            // `Features` validates its buffers (finite norms) on import.
+            s.sort_unstable_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
+            s
+        });
+        train_ds
+            .into_iter()
+            .zip(sorted)
+            .zip(valid_ds)
+            .map(|((train, train_sorted), valid)| Arc::new(Self { train, train_sorted, valid }))
+            .collect()
+    }
+}
+
+/// Known pivot rows by development example, as
+/// [`Contextualizer::register_batch`] adopts them.
+pub type PivotRowMap = BTreeMap<u32, Arc<PivotRows>>;
 
 /// Result of percentile tuning: the chosen `p`, the refined training
 /// matrix at that `p`, and the label model fitted to it.
@@ -52,9 +101,9 @@ pub struct TunedRefinement {
 pub struct Contextualizer {
     /// Configuration (distance function and percentile grid).
     pub config: ContextualizerConfig,
-    train_dists: Vec<Vec<f64>>,
-    train_sorted: Vec<Vec<f64>>,
-    valid_dists: Vec<Vec<f64>>,
+    /// Distance rows per registered LF, shared with every other LF (of
+    /// this or another session) written from the same example.
+    rows: Vec<Arc<PivotRows>>,
     raw_valid_cols: Vec<LfColumn>,
     /// Per-grid-point LF accuracies from the previous
     /// [`Contextualizer::tune_p`] round, the cross-round EM warm-start
@@ -63,6 +112,10 @@ pub struct Contextualizer {
     /// Label-model fit iterations spent by `tune_p` so far (bench
     /// accounting; only iterative estimators report non-trivial counts).
     tune_fits: usize,
+    /// Pivot rows registration adopted rather than computed.
+    rows_reused: usize,
+    /// Pivot rows registration computed.
+    rows_computed: usize,
 }
 
 impl Contextualizer {
@@ -70,12 +123,12 @@ impl Contextualizer {
     pub fn new(config: ContextualizerConfig) -> Self {
         Self {
             config,
-            train_dists: Vec::new(),
-            train_sorted: Vec::new(),
-            valid_dists: Vec::new(),
+            rows: Vec::new(),
             raw_valid_cols: Vec::new(),
             warm_accs: Vec::new(),
             tune_fits: 0,
+            rows_reused: 0,
+            rows_computed: 0,
         }
     }
 
@@ -103,59 +156,84 @@ impl Contextualizer {
 
     /// Number of LFs registered so far.
     pub fn n_registered(&self) -> usize {
-        self.train_dists.len()
+        self.rows.len()
     }
 
-    /// Register a round's worth of LFs in one pass: every train and valid
-    /// distance vector is computed by a single batched call into the
-    /// inverted-index engine (blocked dense kernel for dense-backed
-    /// splits), and the per-LF radius tables are sorted in the same
-    /// parallel partitioning.
-    pub fn register_batch(&mut self, recs: &[TrackedLf], ds: &Dataset) {
-        if recs.is_empty() {
-            return;
+    /// The distance rows of every registered LF, in registration order.
+    pub(crate) fn pivot_rows(&self) -> &[Arc<PivotRows>] {
+        &self.rows
+    }
+
+    /// Pivot rows [`Contextualizer::register_batch`] took from its `known`
+    /// map so far (one per distinct known development example of each
+    /// batch).
+    pub(crate) fn rows_reused(&self) -> usize {
+        self.rows_reused
+    }
+
+    /// Pivot rows [`Contextualizer::register_batch`] computed so far (one
+    /// per distinct missing development example of each batch).
+    pub(crate) fn rows_computed(&self) -> usize {
+        self.rows_computed
+    }
+
+    /// Register a round's worth of LFs in one pass. An LF whose
+    /// development example is in `known` adopts those rows; the distinct
+    /// missing examples have every train and valid distance vector
+    /// computed by a single batched call into the inverted-index engine
+    /// (blocked dense kernel for dense-backed splits), and their radius
+    /// tables sorted in the same parallel partitioning. A pivot's rows do
+    /// not depend on the batch it is computed in, so adopted rows computed
+    /// elsewhere from the same dataset and distance are bit-identical to
+    /// fresh ones; `known` must hold only such rows.
+    pub fn register_batch(&mut self, recs: &[TrackedLf], ds: &Dataset, known: &PivotRowMap) {
+        let mut examples: Vec<u32> = recs.iter().map(|r| r.dev_example).collect();
+        examples.sort_unstable();
+        examples.dedup();
+        let missing: Vec<u32> =
+            examples.iter().copied().filter(|x| !known.contains_key(x)).collect();
+        self.rows_reused += examples.len() - missing.len();
+        self.rows_computed += missing.len();
+        let mut fresh = PivotRowMap::new();
+        if !missing.is_empty() {
+            let dist = self.config.distance;
+            let pivots: Vec<usize> = missing.iter().map(|&x| x as usize).collect();
+            let train = &ds.train.features;
+            let train_ds = train.distances(dist, &pivots, train);
+            let valid_ds = train.distances(dist, &pivots, &ds.valid.features);
+            fresh = missing.into_iter().zip(PivotRows::batch(train_ds, valid_ds)).collect();
         }
-        let dist = self.config.distance;
-        let pivots: Vec<usize> = recs.iter().map(|r| r.dev_example as usize).collect();
-        let train = &ds.train.features;
-        let train_ds = train.distances(dist, &pivots, train);
-        let valid_ds = train.distances(dist, &pivots, &ds.valid.features);
-        self.push_registered(recs, ds, train_ds, valid_ds);
+        let rows = recs
+            .iter()
+            .map(|r| {
+                let x = r.dev_example;
+                // invariant: every example missing from `known` was computed.
+                Arc::clone(known.get(&x).or_else(|| fresh.get(&x)).expect("missing rows computed"))
+            })
+            .collect();
+        self.push_registered(recs, ds, rows);
     }
 
-    /// Cache one batch of precomputed distance vectors (aligned with
-    /// `recs`), sorting the radius tables in parallel — the tail every
-    /// registration engine shares.
+    /// Cache one batch of distance rows (aligned with `recs`) — the tail
+    /// every registration engine shares.
     pub(crate) fn push_registered(
         &mut self,
         recs: &[TrackedLf],
         ds: &Dataset,
-        train_ds: Vec<Vec<f64>>,
-        valid_ds: Vec<Vec<f64>>,
+        rows: Vec<Arc<PivotRows>>,
     ) {
-        let sorted: Vec<Vec<f64>> = par_map_min(&train_ds, 2, |_, d: &Vec<f64>| {
-            let mut s = d.clone();
-            // invariant: distances are finite — both kernels compute
-            // sums/square roots of finite feature values, and
-            // `Features` validates its buffers (finite norms) on import.
-            s.sort_unstable_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
-            s
-        });
-        for ((rec, train_d), (valid_d, sorted_d)) in
-            recs.iter().zip(train_ds).zip(valid_ds.into_iter().zip(sorted))
-        {
-            self.train_dists.push(train_d);
-            self.train_sorted.push(sorted_d);
-            self.valid_dists.push(valid_d);
+        for (rec, rows) in recs.iter().zip(rows) {
+            self.rows.push(rows);
             self.raw_valid_cols.push(LfColumn::from_lf(&rec.lf, &ds.valid.corpus));
         }
     }
 
     /// Register any lineage entries not yet cached (lineage is
-    /// append-only, so indices stay aligned) — the batch entry point
-    /// `Session`/`NemoSystem` reach through `ContextualizedPipeline`.
+    /// append-only, so indices stay aligned), computing every row — the
+    /// batch entry point `Session`/`NemoSystem` reach through
+    /// `ContextualizedPipeline`.
     pub fn sync(&mut self, lineage: &Lineage, ds: &Dataset) {
-        self.register_batch(&lineage.tracked()[self.n_registered()..], ds);
+        self.register_batch(&lineage.tracked()[self.n_registered()..], ds, &PivotRowMap::new());
     }
 
     /// Refinement radius `r_j` at percentile `p`.
@@ -169,7 +247,7 @@ impl Contextualizer {
     /// radius) — consistent with the `p = 100` endpoint — instead of
     /// panicking deep inside the stats crate.
     pub fn radius(&self, j: usize, p: f64) -> f64 {
-        let sorted = &self.train_sorted[j];
+        let sorted = &self.rows[j].train_sorted;
         if sorted.is_empty() {
             return f64::INFINITY;
         }
@@ -179,7 +257,7 @@ impl Contextualizer {
     /// Refine LF `j`'s raw training column at percentile `p`.
     pub fn refine_train(&self, j: usize, p: f64, raw: &LfColumn) -> LfColumn {
         let r = self.radius(j, p);
-        let d = &self.train_dists[j];
+        let d = &self.rows[j].train;
         raw.filtered(|i| d[i as usize] <= r)
     }
 
@@ -187,7 +265,7 @@ impl Contextualizer {
     /// computed from training distances, applied to validation examples).
     pub fn refine_valid(&self, j: usize, p: f64) -> LfColumn {
         let r = self.radius(j, p);
-        let d = &self.valid_dists[j];
+        let d = &self.rows[j].valid;
         self.raw_valid_cols[j].filtered(|i| d[i as usize] <= r)
     }
 
@@ -587,13 +665,46 @@ mod tests {
         for j in 0..batched.n_registered() {
             // Bit-identical caches, not just close: the indexed kernel
             // performs the same float operations as the row-major scan.
-            assert_eq!(batched.train_dists[j], per_lf.train_dists[j], "train dists j={j}");
-            assert_eq!(batched.valid_dists[j], per_lf.valid_dists[j], "valid dists j={j}");
-            assert_eq!(batched.train_sorted[j], per_lf.train_sorted[j], "sorted j={j}");
+            assert_eq!(batched.rows[j], per_lf.rows[j], "rows j={j}");
             for &p in &[0.0, 25.0, 50.0, 100.0] {
                 assert_eq!(batched.radius(j, p), per_lf.radius(j, p), "radius j={j} p={p}");
             }
         }
+    }
+
+    #[test]
+    fn register_batch_adopts_known_rows_and_computes_only_the_rest() {
+        let ds = toy_text(1);
+        let (cold, _, lineage) = setup(&ds, 6, 10);
+        // A multi-LF round: second LFs from the last (missing) and the
+        // first (known) LF's examples.
+        let mut recs = lineage.tracked().to_vec();
+        recs.push(recs[5]);
+        recs.push(recs[0]);
+        let known: PivotRowMap = recs[..3]
+            .iter()
+            .zip(cold.pivot_rows())
+            .map(|(r, rows)| (r.dev_example, Arc::clone(rows)))
+            .collect();
+        let mut warm = Contextualizer::new(ContextualizerConfig::default());
+        warm.register_batch(&recs, &ds, &known);
+        // Both counters count distinct examples, not LFs.
+        let mut examples: Vec<u32> = recs.iter().map(|r| r.dev_example).collect();
+        examples.sort_unstable();
+        examples.dedup();
+        let reused = examples.iter().filter(|x| known.contains_key(x)).count();
+        assert_eq!(warm.rows_reused(), reused);
+        assert_eq!(warm.rows_computed(), examples.len() - reused);
+        for (j, rec) in recs.iter().enumerate() {
+            // Adopted rows are shared, fresh ones bit-identical to the
+            // rows a cold registration computed for the same example.
+            let rows = &warm.pivot_rows()[j];
+            match known.get(&rec.dev_example) {
+                Some(k) => assert!(Arc::ptr_eq(rows, k), "j={j} not adopted"),
+                None => assert_eq!(**rows, *cold.pivot_rows()[j.min(5)], "j={j}"),
+            }
+        }
+        assert!(Arc::ptr_eq(&warm.pivot_rows()[5], &warm.pivot_rows()[6]), "one row per example");
     }
 
     #[test]
@@ -602,9 +713,9 @@ mod tests {
         // the radius must be a *defined* +∞ (refinement = identity), not
         // a panic inside `percentile_of_sorted` (the pre-fix behaviour).
         let mut ctx = Contextualizer::new(ContextualizerConfig::default());
-        ctx.train_dists.push(Vec::new());
-        ctx.train_sorted.push(Vec::new());
-        ctx.valid_dists.push(vec![0.1, 0.7]);
+        let empty_train =
+            PivotRows { train: Vec::new(), train_sorted: Vec::new(), valid: vec![0.1, 0.7] };
+        ctx.rows.push(Arc::new(empty_train));
         ctx.raw_valid_cols.push(LfColumn::new(vec![(0, 1), (1, -1)]));
         for &p in &[0.0, 50.0, 100.0] {
             assert_eq!(ctx.radius(0, p), f64::INFINITY, "p={p}");

@@ -6,7 +6,8 @@
 //! pool. [`SessionPool`] is that deployment shape: it borrows one
 //! [`SharedArtifacts`] (typically held behind an `Arc`) and multiplexes
 //! any number of per-user sessions over it, keeping at most
-//! [`PoolConfig::max_resident`] of them materialized in memory. The rest
+//! [`PoolConfig::max_resident`] of them materialized in memory between
+//! calls. The rest
 //! live as checkpoints in a pluggable [`CheckpointStore`] — the in-memory
 //! [`MemoryCheckpointStore`] here, or the durable file-backed store in
 //! `nemo-persist` — and are restored transparently when their next round
@@ -17,27 +18,54 @@
 //! [`SessionPool::run_round`] serves one session; [`SessionPool::run_rounds`]
 //! serves a batch, fanning the rounds out over `nemo_sparse::parallel`
 //! workers with work stealing (rounds are coarse and heterogeneous — a
-//! cold session pays restore + full re-registration, a warm one only an
-//! incremental update — so dynamic scheduling beats fixed partitioning).
-//! Batches are processed in waves of `max_resident.max(workers)` jobs so
-//! the transient memory footprint stays bounded by the pool's capacity,
-//! not the batch size.
+//! cold session pays a restore plus the registration of whatever lineage
+//! rows the pivot store lacks, a warm one only an incremental update — so
+//! dynamic scheduling beats fixed partitioning). Batches are processed in
+//! waves of `max_resident.max(workers)` jobs, so transient memory grows
+//! with the pool's capacity, not the batch size: a wave restores its
+//! evicted members next to the residents, so up to `max_resident` plus the
+//! wave length sessions can be materialized until the wave's closing
+//! eviction pass (`make_room(0)`) sheds the least-recently-used surplus.
+//!
+//! # Pivot store
+//!
+//! An LF's distance rows ([`PivotRows`]) depend only on the artifact set,
+//! the distance and the LF's development example, and a pool has one of
+//! each of the first two, so the pool keeps one store of rows keyed by
+//! development example. Before a round, a session registers the lineage
+//! its contextualizer lacks — all of it after a restore, nothing
+//! otherwise — adopting the stored rows and computing only the missing
+//! ones; after the round, the rows it computed are collected into the
+//! store. Lookups and collection run on the pool thread around the
+//! rounds, so the store needs no lock. Checkpoints stay the only
+//! authoritative state: a hostile checkpoint can only choose which
+//! trusted rows are reused, and it is validated before any row is
+//! adopted. The store holds at most [`PIVOT_STORE_BYTES`] of rows and
+//! takes no more once full (the worst case is `n_train` rows of
+//! `(2·n_train + n_valid)·8` bytes each). [`SessionPool::with_session`]
+//! only restores, so reading an evicted session registers nothing.
+//! [`PoolStats::rows_reused`] and [`PoolStats::rows_computed`] count the
+//! store's effect.
 //!
 //! # Determinism
 //!
 //! A session's trajectory is a pure function of its own state: rounds of
 //! different sessions share nothing mutable, eviction/restore is
-//! bit-identical (`tests/session_checkpoint.rs`), and the work-stealing
+//! bit-identical (`tests/session_checkpoint.rs`), a stored row is
+//! bit-identical to a freshly computed one (the kernel computes each
+//! pivot's row independently of its batch), and the work-stealing
 //! scheduler only changes *when* a round runs, never *what* it computes.
 //! Every pooled session therefore reproduces its standalone
 //! [`NemoSystem`] run exactly — same selections, same percentiles, same
-//! posterior bits — under any worker count and any eviction pattern
-//! (`tests/session_pool_differential.rs`).
+//! posterior bits — under any worker count, eviction pattern and store
+//! budget (`tests/session_pool_differential.rs`).
 
 // lint: allow(determinism/hash-collections): pool maps are keyed stores
 // and membership sets; iteration order is never observed.
-use std::collections::{HashMap, HashSet};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 // lint: allow(determinism/wall-clock): round_ns telemetry only; eviction
 // uses the logical `clock: u64`, never wall time.
 use std::time::Instant;
@@ -45,11 +73,13 @@ use std::time::Instant;
 use crate::artifacts::SharedArtifacts;
 use crate::checkpoint::SessionCheckpoint;
 use crate::config::{ContextualizerConfig, IdpConfig};
+use crate::contextualizer::{PivotRowMap, PivotRows};
 use crate::engines::engine_for;
 use crate::error::{RestoreError, SessionError};
 use crate::idp::StepRecord;
 use crate::oracle::User;
 use crate::system::NemoSystem;
+use nemo_lf::TrackedLf;
 use nemo_sparse::parallel;
 
 /// Opaque handle of a session admitted to a [`SessionPool`].
@@ -148,6 +178,11 @@ impl Default for PoolConfig {
     }
 }
 
+/// Bytes of distance rows a pool's pivot store keeps for restored
+/// sessions to adopt, `(2·n_train + n_valid)·8` per development example;
+/// once full, the store takes no more rows.
+pub const PIVOT_STORE_BYTES: usize = 32 << 20;
+
 /// Counters describing a pool's lifetime activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
@@ -159,6 +194,17 @@ pub struct PoolStats {
     pub restores: u64,
     /// Interactive rounds served.
     pub rounds: u64,
+    /// Distance rows rounds took from the pivot store (one per distinct
+    /// development example of each registration batch).
+    pub rows_reused: u64,
+    /// Distance rows rounds computed (counted the same way).
+    pub rows_computed: u64,
+}
+
+/// A session's cumulative `[rows reused, rows computed]`.
+fn row_counts(system: &NemoSystem<'_>) -> [usize; 2] {
+    let ctx = system.contextualizer();
+    [ctx.rows_reused(), ctx.rows_computed()]
 }
 
 /// One unit of work for [`SessionPool::run_rounds`]: which session to
@@ -332,9 +378,14 @@ enum Slot<'a> {
 pub struct SessionPool<'a> {
     artifacts: &'a SharedArtifacts,
     config: PoolConfig,
-    /// One entry per ever-admitted session; `None` marks a closed one.
+    /// One entry per ever-admitted session; `None` marks a closed one (or
+    /// one whose round is in flight).
     slots: Vec<Option<Slot<'a>>>,
+    /// Number of [`Slot::Resident`] slots, kept by
+    /// [`SessionPool::set_slot`].
+    resident: usize,
     store: Box<dyn CheckpointStore>,
+    pivots: PivotStore,
     clock: u64,
     stats: PoolStats,
 }
@@ -353,7 +404,16 @@ impl<'a> SessionPool<'a> {
         store: Box<dyn CheckpointStore>,
     ) -> Self {
         config.max_resident = config.max_resident.max(1);
-        Self { artifacts, config, slots: Vec::new(), store, clock: 0, stats: PoolStats::default() }
+        Self {
+            artifacts,
+            config,
+            slots: Vec::new(),
+            resident: 0,
+            store,
+            pivots: PivotStore::new(PIVOT_STORE_BYTES),
+            clock: 0,
+            stats: PoolStats::default(),
+        }
     }
 
     /// Admit a new session with its own per-user `config`, evicting the
@@ -380,7 +440,8 @@ impl<'a> SessionPool<'a> {
         ));
         let id = SessionId(self.slots.len() as u64);
         self.clock += 1;
-        self.slots.push(Some(Slot::Resident { system, touch: self.clock }));
+        self.slots.push(None);
+        self.set_slot(id.index(), Some(Slot::Resident { system, touch: self.clock }));
         self.stats.admitted += 1;
         Ok(id)
     }
@@ -400,23 +461,22 @@ impl<'a> SessionPool<'a> {
         user: &mut dyn User,
     ) -> Result<StepRecord, PoolError> {
         self.ensure_resident(id)?;
-        self.clock += 1;
-        let clock = self.clock;
         // invariant: ensure_resident left the slot materialized.
-        let Some(Slot::Resident { system, touch }) = self.slots[id.index()].as_mut() else {
+        let Some(Slot::Resident { mut system, .. }) = self.set_slot(id.index(), None) else {
             unreachable!("ensure_resident materializes the slot")
         };
-        *touch = clock;
-        let record = system
-            .step_with_user(user)
-            .map_err(|source| PoolError::Session { id: id.raw(), source })?;
+        let before = row_counts(&system);
+        system.register_lineage(&self.pivots.gather(system.unregistered_lineage()));
+        let stepped = system.step_with_user(user);
+        self.reinstate(id.index(), system, before, false);
+        let record = stepped.map_err(|source| PoolError::Session { id: id.raw(), source })?;
         self.stats.rounds += 1;
         Ok(record)
     }
 
     /// Serve one round for every job in the batch, fanning the rounds out
-    /// over work-stealing workers (see the module docs for the wave
-    /// discipline bounding transient memory). Outcomes are returned in
+    /// over work-stealing workers (see the module docs for the waves and
+    /// the transient memory they can hold). Outcomes are returned in
     /// job order regardless of scheduling.
     ///
     /// # Errors
@@ -461,7 +521,7 @@ impl<'a> SessionPool<'a> {
     ) -> Result<Vec<RoundOutcome>, PoolError> {
         // Pass 1: fetch checkpoints for the wave's evicted members. This
         // can fail without having touched any slot.
-        let mut staged: Vec<Option<SessionCheckpoint>> = Vec::with_capacity(jobs.len());
+        let mut staged: Vec<Option<Box<SessionCheckpoint>>> = Vec::with_capacity(jobs.len());
         for job in jobs.iter() {
             match self.slots[job.id.index()] {
                 Some(Slot::Resident { .. }) => staged.push(None),
@@ -469,7 +529,7 @@ impl<'a> SessionPool<'a> {
                     let ckpt = self.store.load(job.id.raw()).map_err(|reason| {
                         PoolError::Store { id: job.id.raw(), op: "load", reason }
                     })?;
-                    staged.push(Some(ckpt));
+                    staged.push(Some(Box::new(ckpt)));
                 }
                 // invariant: run_rounds validated every id as open.
                 None => unreachable!("batch ids validated as open"),
@@ -477,18 +537,25 @@ impl<'a> SessionPool<'a> {
         }
 
         // Pass 2 (infallible): move each job's session state into a work
-        // cell, leaving its slot empty while the round is in flight.
+        // cell with the stored rows of the lineage it has not registered,
+        // leaving its slot empty while the round is in flight.
         let mut cells: Vec<WorkCell<'a, '_>> = jobs
             .iter_mut()
             .zip(staged)
-            .map(|(job, ckpt)| {
+            .map(|(job, stored)| {
                 // invariant: validated open above.
-                let state = match self.slots[job.id.index()].take().expect("slot open") {
-                    Slot::Resident { system, .. } => CellState::Live(system),
-                    Slot::Evicted => {
+                let (state, known, rows_before) = match self.set_slot(job.id.index(), None) {
+                    Some(Slot::Resident { system, .. }) => {
+                        let known = self.pivots.gather(system.unregistered_lineage());
+                        let before = row_counts(&system);
+                        (CellState::Live(system), known, before)
+                    }
+                    _ => {
                         // invariant: pass 1 staged a checkpoint for every
                         // evicted job before this infallible pass began.
-                        CellState::Stored(Box::new(ckpt.expect("pass 1 staged a checkpoint")))
+                        let ckpt = stored.expect("pass 1 staged a checkpoint");
+                        let known = self.pivots.gather(&ckpt.lineage);
+                        (CellState::Stored(ckpt), known, [0, 0])
                     }
                 };
                 WorkCell {
@@ -496,6 +563,8 @@ impl<'a> SessionPool<'a> {
                     user: &mut *job.user,
                     restored: matches!(state, CellState::Stored(_)),
                     state,
+                    known,
+                    rows_before,
                     outcome: None,
                     round_ns: 0,
                     error: None,
@@ -513,18 +582,17 @@ impl<'a> SessionPool<'a> {
             let timer = Instant::now();
             let mut system = match std::mem::replace(&mut cell.state, CellState::Failed) {
                 CellState::Live(system) => system,
-                CellState::Stored(ckpt) => {
-                    match NemoSystem::restore_with(artifacts.dataset(), &ckpt, ctx.clone()) {
-                        Ok(system) => Box::new(system),
-                        Err(source) => {
-                            cell.error = Some(PoolError::Restore { id: cell.id.raw(), source });
-                            return;
-                        }
+                CellState::Stored(ckpt) => match restore_session(artifacts, ctx, cell.id, &ckpt) {
+                    Ok(system) => system,
+                    Err(error) => {
+                        cell.error = Some(error);
+                        return;
                     }
-                }
+                },
                 // invariant: cells start Live or Stored and are visited once.
                 CellState::Failed => unreachable!("cell visited twice"),
             };
+            system.register_lineage(&cell.known);
             match system.step_with_user(cell.user) {
                 Ok(record) => cell.outcome = Some(record),
                 Err(source) => cell.error = Some(PoolError::Session { id: cell.id.raw(), source }),
@@ -541,15 +609,11 @@ impl<'a> SessionPool<'a> {
             let idx = cell.id.index();
             match cell.state {
                 CellState::Live(system) => {
-                    self.clock += 1;
-                    if cell.restored {
-                        self.stats.restores += 1;
-                    }
-                    self.slots[idx] = Some(Slot::Resident { system, touch: self.clock });
+                    self.reinstate(idx, system, cell.rows_before, cell.restored);
                 }
                 // Restore failed: the checkpoint is still in the store.
                 CellState::Stored(_) | CellState::Failed => {
-                    self.slots[idx] = Some(Slot::Evicted);
+                    self.set_slot(idx, Some(Slot::Evicted));
                 }
             }
             match (cell.outcome, cell.error) {
@@ -592,7 +656,9 @@ impl<'a> SessionPool<'a> {
         self.evict_index(id.index())
     }
 
-    /// Read session `id`'s live state (restoring it first if needed).
+    /// Read session `id`'s live state (restoring it first if needed). A
+    /// restore here registers no distance rows; the session's next round
+    /// does, from the pivot store.
     ///
     /// # Errors
     ///
@@ -654,7 +720,7 @@ impl<'a> SessionPool<'a> {
             // invariant: check_open guarantees the slot exists.
             None => unreachable!("checked open"),
         };
-        self.slots[idx] = None;
+        self.set_slot(idx, None);
         // Best-effort: a store that cannot forget a closed session is not
         // an error the caller can act on.
         let _ = self.store.remove(id.raw());
@@ -673,7 +739,7 @@ impl<'a> SessionPool<'a> {
 
     /// Number of sessions currently materialized in memory.
     pub fn resident_count(&self) -> usize {
-        self.slots.iter().flatten().filter(|s| matches!(s, Slot::Resident { .. })).count()
+        self.resident
     }
 
     /// Lifetime activity counters.
@@ -700,7 +766,7 @@ impl<'a> SessionPool<'a> {
     /// Evict least-recently-used residents until `incoming` more sessions
     /// fit within [`PoolConfig::max_resident`].
     fn make_room(&mut self, incoming: usize) -> Result<(), PoolError> {
-        while self.resident_count() + incoming > self.config.max_resident {
+        while self.resident + incoming > self.config.max_resident {
             let victim = self
                 .slots
                 .iter()
@@ -718,6 +784,16 @@ impl<'a> SessionPool<'a> {
         Ok(())
     }
 
+    /// Put `slot` in slot `idx`, returning what was there and keeping the
+    /// resident count in step — every slot change goes through here.
+    fn set_slot(&mut self, idx: usize, slot: Option<Slot<'a>>) -> Option<Slot<'a>> {
+        let resident = |s: &Option<Slot<'a>>| matches!(s, Some(Slot::Resident { .. }));
+        self.resident += usize::from(resident(&slot));
+        let old = std::mem::replace(&mut self.slots[idx], slot);
+        self.resident -= usize::from(resident(&old));
+        old
+    }
+
     fn evict_index(&mut self, idx: usize) -> Result<(), PoolError> {
         if let Some(Slot::Resident { system, .. }) = &self.slots[idx] {
             let ckpt = system.checkpoint();
@@ -727,7 +803,7 @@ impl<'a> SessionPool<'a> {
                 op: "save",
                 reason,
             })?;
-            self.slots[idx] = Some(Slot::Evicted);
+            self.set_slot(idx, Some(Slot::Evicted));
             self.stats.evictions += 1;
         }
         Ok(())
@@ -745,14 +821,87 @@ impl<'a> SessionPool<'a> {
             op: "load",
             reason,
         })?;
-        let system =
-            NemoSystem::restore_with(self.artifacts.dataset(), &ckpt, self.config.ctx.clone())
-                .map(Box::new)
-                .map_err(|source| PoolError::Restore { id: id.raw(), source })?;
-        self.clock += 1;
-        self.slots[id.index()] = Some(Slot::Resident { system, touch: self.clock });
-        self.stats.restores += 1;
+        let system = restore_session(self.artifacts, &self.config.ctx, id, &ckpt)?;
+        self.reinstate(id.index(), system, [0, 0], true);
         Ok(())
+    }
+
+    /// Make `system` the most recently used resident of slot `idx`: collect
+    /// its distance rows into the pivot store and count the rows it reused
+    /// and computed since it left its slot (`before`: its [`row_counts`]
+    /// then, zero for a restore), and the restore itself if `restored`.
+    fn reinstate(
+        &mut self,
+        idx: usize,
+        system: Box<NemoSystem<'a>>,
+        before: [usize; 2],
+        restored: bool,
+    ) {
+        self.clock += 1;
+        self.pivots.harvest(&system);
+        let [reused, computed] = row_counts(&system);
+        self.stats.rows_reused += (reused - before[0]) as u64;
+        self.stats.rows_computed += (computed - before[1]) as u64;
+        if restored {
+            self.stats.restores += 1;
+        }
+        self.set_slot(idx, Some(Slot::Resident { system, touch: self.clock }));
+    }
+}
+
+/// Rebuild session `id` from its checkpoint — the one restore path of
+/// the serial calls (on the pool thread) and of the waves (on a worker).
+/// The restored contextualizer registers nothing yet.
+fn restore_session<'a>(
+    artifacts: &'a SharedArtifacts,
+    ctx: &ContextualizerConfig,
+    id: SessionId,
+    ckpt: &SessionCheckpoint,
+) -> Result<Box<NemoSystem<'a>>, PoolError> {
+    NemoSystem::restore_with(artifacts.dataset(), ckpt, ctx.clone())
+        .map(Box::new)
+        .map_err(|source| PoolError::Restore { id: id.raw(), source })
+}
+
+/// The pool's store of pivot distance rows, keyed by development example.
+/// It holds at most `budget` bytes and takes no more rows once full.
+struct PivotStore {
+    budget: usize,
+    bytes: usize,
+    rows: BTreeMap<u32, Arc<PivotRows>>,
+}
+
+impl PivotStore {
+    fn new(budget: usize) -> Self {
+        Self { budget, bytes: 0, rows: BTreeMap::new() }
+    }
+
+    /// The stored rows of `lineage`'s development examples. A lookup only:
+    /// an example outside the dataset simply is not found.
+    fn gather(&self, lineage: &[TrackedLf]) -> PivotRowMap {
+        lineage
+            .iter()
+            .filter_map(|rec| {
+                let rows = self.rows.get(&rec.dev_example)?;
+                Some((rec.dev_example, Arc::clone(rows)))
+            })
+            .collect()
+    }
+
+    /// Store the rows of every LF `system` registered that the store lacks
+    /// and still has room for.
+    fn harvest(&mut self, system: &NemoSystem<'_>) {
+        let registered = system.contextualizer().pivot_rows();
+        for (rec, rows) in system.lineage().tracked().iter().zip(registered) {
+            let size = rows.bytes();
+            if self.bytes + size > self.budget {
+                continue;
+            }
+            if let Entry::Vacant(slot) = self.rows.entry(rec.dev_example) {
+                slot.insert(Arc::clone(rows));
+                self.bytes += size;
+            }
+        }
     }
 }
 
@@ -761,7 +910,11 @@ struct WorkCell<'a, 'u> {
     id: SessionId,
     user: &'u mut (dyn User + Send),
     state: CellState<'a>,
+    /// Stored rows of the lineage the session has not registered.
+    known: PivotRowMap,
     restored: bool,
+    /// The session's [`row_counts`] when it left its slot.
+    rows_before: [usize; 2],
     outcome: Option<StepRecord>,
     round_ns: u64,
     error: Option<PoolError>,
@@ -769,6 +922,7 @@ struct WorkCell<'a, 'u> {
 
 enum CellState<'a> {
     Live(Box<NemoSystem<'a>>),
+    /// Evicted: restored from its checkpoint on the worker.
     Stored(Box<SessionCheckpoint>),
     Failed,
 }
@@ -778,6 +932,7 @@ mod tests {
     use super::*;
     use crate::oracle::SimulatedUser;
     use nemo_data::catalog::toy_text;
+    use std::collections::BTreeSet;
 
     fn idp(n: usize, seed: u64) -> IdpConfig {
         IdpConfig { n_iterations: n, eval_every: 2, seed, ..Default::default() }
@@ -804,38 +959,58 @@ mod tests {
         (selections, bits)
     }
 
+    /// Bytes of one pivot's distance rows on `arts`.
+    fn row_bytes(arts: &SharedArtifacts) -> usize {
+        let ds = arts.dataset();
+        (2 * ds.train.n() + ds.valid.n()) * std::mem::size_of::<f64>()
+    }
+
     #[test]
     fn pooled_sessions_match_standalone_under_churn() {
         let arts = artifacts();
-        // Capacity 1 forces an evict/restore between every pair of rounds.
-        let config = PoolConfig { max_resident: 1, workers: Some(1), ..Default::default() };
-        let mut pool = SessionPool::new(&arts, config);
-        let cfgs: Vec<IdpConfig> = (0..3).map(|i| idp(6, 100 + i)).collect();
-        let ids: Vec<SessionId> = cfgs.iter().map(|c| pool.admit(c.clone()).unwrap()).collect();
+        // An empty store (every round computes its lineage), one that
+        // fills after two pivots, and the pool's own.
+        for budget in [0, 2 * row_bytes(&arts), PIVOT_STORE_BYTES] {
+            // Capacity 1 forces an evict/restore between every pair of rounds.
+            let config = PoolConfig { max_resident: 1, workers: Some(1), ..Default::default() };
+            let mut pool = SessionPool::new(&arts, config);
+            pool.pivots = PivotStore::new(budget);
+            let cfgs: Vec<IdpConfig> = (0..3).map(|i| idp(6, 100 + i)).collect();
+            let ids: Vec<SessionId> = cfgs.iter().map(|c| pool.admit(c.clone()).unwrap()).collect();
 
-        let mut users: Vec<SimulatedUser> = ids.iter().map(|_| SimulatedUser::default()).collect();
-        let mut selections: Vec<Vec<Option<usize>>> = vec![Vec::new(); ids.len()];
-        for _round in 0..4 {
-            for (k, &id) in ids.iter().enumerate() {
-                let rec = pool.run_round(id, &mut users[k]).unwrap();
-                selections[k].push(rec.selected);
+            let mut users: Vec<SimulatedUser> =
+                ids.iter().map(|_| SimulatedUser::default()).collect();
+            let mut selections: Vec<Vec<Option<usize>>> = vec![Vec::new(); ids.len()];
+            for _round in 0..4 {
+                for (k, &id) in ids.iter().enumerate() {
+                    let rec = pool.run_round(id, &mut users[k]).unwrap();
+                    selections[k].push(rec.selected);
+                }
             }
-        }
-        assert!(pool.stats().evictions >= 8, "capacity 1 must thrash: {:?}", pool.stats());
-        for (k, cfg) in cfgs.iter().enumerate() {
-            let (want_sel, want_bits) = standalone(&arts, cfg.clone(), 4);
-            assert_eq!(selections[k], want_sel, "session {k} selections diverged");
-            let got_bits: Vec<u64> = pool
-                .with_session(ids[k], |nemo| {
-                    nemo.outputs()
-                        .train_posterior
-                        .p_pos_slice()
-                        .iter()
-                        .map(|p| p.to_bits())
-                        .collect()
-                })
-                .unwrap();
-            assert_eq!(got_bits, want_bits, "session {k} posterior diverged");
+            let stats = pool.stats();
+            assert!(stats.evictions >= 8, "capacity 1 must thrash: {stats:?}");
+            assert_eq!(stats.rows_reused == 0, budget == 0, "budget {budget}: {stats:?}");
+            let mut examples = BTreeSet::new();
+            for (k, cfg) in cfgs.iter().enumerate() {
+                let (want_sel, want_bits) = standalone(&arts, cfg.clone(), 4);
+                assert_eq!(selections[k], want_sel, "session {k} selections diverged ({budget})");
+                let got_bits: Vec<u64> = pool
+                    .with_session(ids[k], |nemo| {
+                        examples.extend(nemo.lineage().tracked().iter().map(|r| r.dev_example));
+                        nemo.outputs()
+                            .train_posterior
+                            .p_pos_slice()
+                            .iter()
+                            .map(|p| p.to_bits())
+                            .collect()
+                    })
+                    .unwrap();
+                assert_eq!(got_bits, want_bits, "session {k} posterior diverged ({budget})");
+            }
+            // The store took rows until its budget was spent, then no more.
+            let fits = (budget / row_bytes(&arts)).min(examples.len());
+            assert_eq!(pool.pivots.rows.len(), fits, "budget {budget}");
+            assert_eq!(pool.pivots.bytes, fits * row_bytes(&arts), "budget {budget}");
         }
     }
 
@@ -986,6 +1161,102 @@ mod tests {
         assert_eq!(stats.rounds, 2);
         assert_eq!(stats.evictions, 3);
         assert_eq!(stats.restores, 2);
+    }
+
+    /// The distinct development examples of session `id`'s lineage,
+    /// read through `with_session` (which restores the session if it is
+    /// evicted).
+    fn distinct_pivots(pool: &mut SessionPool<'_>, id: SessionId) -> u64 {
+        pool.with_session(id, |nemo| {
+            let mut xs: Vec<u32> = nemo.lineage().tracked().iter().map(|r| r.dev_example).collect();
+            xs.sort_unstable();
+            xs.dedup();
+            xs.len() as u64
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn restored_rounds_adopt_stored_rows() {
+        let arts = artifacts();
+        for budget in [PIVOT_STORE_BYTES, 0] {
+            // One resident slot and two alternating sessions: admitting
+            // the second evicts the first, and every visit restores.
+            let config = PoolConfig { max_resident: 1, workers: Some(1), ..Default::default() };
+            let mut pool = SessionPool::new(&arts, config);
+            pool.pivots = PivotStore::new(budget);
+            let ids = [pool.admit(idp(6, 21)).unwrap(), pool.admit(idp(6, 22)).unwrap()];
+            let mut user = SimulatedUser::default();
+            for visit in 0..8 {
+                let id = ids[visit % 2];
+                let before = pool.stats();
+                let pivots = distinct_pivots(&mut pool, id);
+                let restored = pool.stats();
+                assert_eq!(restored.restores, before.restores + 1);
+                // Reading an evicted session registers nothing.
+                assert_eq!(restored.rows_reused, before.rows_reused, "visit {visit}");
+                assert_eq!(restored.rows_computed, before.rows_computed, "visit {visit}");
+                pool.run_round(id, &mut user).unwrap();
+                let after = pool.stats();
+                let (reused, computed) = (
+                    after.rows_reused - restored.rows_reused,
+                    after.rows_computed - restored.rows_computed,
+                );
+                // The round's own new LF needs at most one more row.
+                if budget == 0 {
+                    // The cold restore: the whole lineage again.
+                    assert_eq!(reused, 0, "visit {visit}");
+                    assert!((pivots..=pivots + 1).contains(&computed), "visit {visit}");
+                } else {
+                    // Every row of the lineage was stored by an earlier
+                    // round of this session.
+                    assert_eq!(reused, pivots, "visit {visit}");
+                    assert!(computed <= 1, "visit {visit}");
+                }
+            }
+            assert_eq!(pool.stats().rounds, 8);
+        }
+    }
+
+    #[test]
+    fn resident_count_matches_a_full_scan() {
+        let arts = artifacts();
+        let config = PoolConfig { max_resident: 2, workers: Some(2), ..Default::default() };
+        let mut pool = SessionPool::new(&arts, config);
+        let check = |pool: &SessionPool<'_>, step: &str| {
+            let resident = |s: &&Option<Slot<'_>>| matches!(s, Some(Slot::Resident { .. }));
+            let scanned = pool.slots.iter().filter(resident).count();
+            assert_eq!(pool.resident_count(), scanned, "after {step}");
+            assert!(pool.resident_count() <= 2, "after {step}");
+        };
+        let mut ids: Vec<SessionId> = Vec::new();
+        for i in 0..4 {
+            ids.push(pool.admit(idp(6, 60 + i)).unwrap());
+            check(&pool, "admit");
+        }
+        let mut users: Vec<SimulatedUser> = (0..4).map(|_| SimulatedUser::default()).collect();
+        for round in 0..3 {
+            pool.run_round(ids[round], &mut users[round]).unwrap();
+            check(&pool, "run_round");
+            pool.evict(ids[(round + 1) % 4]).unwrap();
+            check(&pool, "evict");
+            let mut jobs: Vec<RoundJob<'_>> =
+                ids.iter().zip(users.iter_mut()).map(|(&id, u)| RoundJob::new(id, u)).collect();
+            pool.run_rounds(&mut jobs).unwrap();
+            check(&pool, "run_rounds");
+            pool.with_session(ids[3 - round], |nemo| nemo.iteration()).unwrap();
+            check(&pool, "with_session");
+        }
+        let closed = ids.remove(0);
+        pool.close(closed).unwrap();
+        check(&pool, "close");
+        let evicted = *ids.iter().find(|&&id| !pool.is_resident(id)).unwrap();
+        pool.close(evicted).unwrap();
+        check(&pool, "close evicted");
+        ids.push(pool.admit(idp(6, 70)).unwrap());
+        check(&pool, "admit after close");
+        let stats = pool.stats();
+        assert!(stats.evictions > 0 && stats.restores > 0, "{stats:?}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! cold fits coincide, so whole sessions agree bit for bit.
 
 use crate::config::{ContextualizerConfig, IdpConfig};
-use crate::contextualizer::{Contextualizer, TunedRefinement};
+use crate::contextualizer::{Contextualizer, PivotRows, TunedRefinement};
 use crate::idp::ModelOutputs;
 use crate::pipeline::{end_model_outputs, LearningPipeline, UNIFORM_BALANCE};
 use nemo_data::{Dataset, Features};
@@ -68,7 +68,7 @@ pub fn register_batch_naive(ctx: &mut Contextualizer, recs: &[TrackedLf], ds: &D
     let pivots: Vec<usize> = recs.iter().map(|r| r.dev_example as usize).collect();
     let train_ds = distances(dist, train, &pivots, train);
     let valid_ds = distances(dist, train, &pivots, &ds.valid.features);
-    ctx.push_registered(recs, ds, train_ds, valid_ds);
+    ctx.push_registered(recs, ds, PivotRows::batch(train_ds, valid_ds));
 }
 
 /// The pre-incremental percentile tuner: fit every unique grid point

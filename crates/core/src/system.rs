@@ -22,6 +22,7 @@
 
 use crate::checkpoint::SessionCheckpoint;
 use crate::config::{ContextualizerConfig, IdpConfig};
+use crate::contextualizer::{Contextualizer, PivotRowMap};
 use crate::engines::{engine_for, SelectionEngine};
 use crate::error::{RestoreError, SessionError};
 use crate::idp::{LearningCurve, ModelOutputs, StepRecord};
@@ -29,7 +30,7 @@ use crate::oracle::User;
 use crate::pipeline::ContextualizedPipeline;
 use crate::session::Session;
 use nemo_data::Dataset;
-use nemo_lf::{Lineage, PrimitiveLf};
+use nemo_lf::{Lineage, PrimitiveLf, TrackedLf};
 
 /// The end-to-end Nemo system (selection engine + contextualized
 /// learning): a thin frontend driver over the [`Session`] engine, which
@@ -84,6 +85,27 @@ impl<'a> NemoSystem<'a> {
     /// Collected lineage.
     pub fn lineage(&self) -> &Lineage {
         self.session.lineage()
+    }
+
+    /// The contextualizer (its distance rows and their reuse counters).
+    pub(crate) fn contextualizer(&self) -> &Contextualizer {
+        self.pipeline.contextualizer()
+    }
+
+    /// The lineage entries the contextualizer has not registered yet: the
+    /// whole lineage after a restore, none between rounds.
+    pub(crate) fn unregistered_lineage(&self) -> &[TrackedLf] {
+        &self.lineage().tracked()[self.contextualizer().n_registered()..]
+    }
+
+    /// Register the [`NemoSystem::unregistered_lineage`] now, adopting the
+    /// `known` rows and computing the rest in one batch — what a pooled
+    /// round does before it runs, instead of leaving the whole lineage of a
+    /// restored session to its learning step.
+    pub(crate) fn register_lineage(&mut self, known: &PivotRowMap) {
+        let ctx = self.pipeline.contextualizer_mut();
+        let tracked = &self.session.lineage().tracked()[ctx.n_registered()..];
+        ctx.register_batch(tracked, self.session.dataset(), known);
     }
 
     /// Latest model outputs.
@@ -267,7 +289,9 @@ impl<'a> NemoSystem<'a> {
     /// engine-state section. The contextualizer starts with empty
     /// distance caches — its next learning round re-registers the whole
     /// lineage in one batch, which is bit-identical to the incremental
-    /// registrations of the original run — and with the checkpoint's
+    /// registrations of the original run (a [`crate::SessionPool`]
+    /// registers it before that round instead, adopting the distance rows
+    /// its store already holds) — and with the checkpoint's
     /// warm-start seeds, so percentile tuning resumes from the same EM
     /// state. Restored sessions therefore make the same selections and
     /// produce the same model outputs as never-interrupted ones

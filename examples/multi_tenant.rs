@@ -84,6 +84,12 @@ fn main() {
         "\npool stats: {} admitted, {} rounds served, {} evictions, {} restores",
         stats.admitted, stats.rounds, stats.evictions, stats.restores
     );
+    // Restored tenants adopt the distance rows the pool's pivot store
+    // holds instead of recomputing their whole lineage.
+    println!(
+        "distance rows: {} reused from the pivot store, {} computed",
+        stats.rows_reused, stats.rows_computed
+    );
 
     // 6. Closing a tenant hands back its final checkpoint — the caller
     //    can archive it with `nemo::persist::save_session` and re-admit

@@ -13,13 +13,21 @@
 //! implicitly via the default `None`, which follows `NEMO_THREADS` — the
 //! CI `test-serial` (`NEMO_THREADS=1`) and `test-multicore`
 //! (`NEMO_THREADS=4`) legs re-run this whole suite under both settings.
+//!
+//! The pool's pivot store hands restored sessions distance rows other
+//! sessions computed; it must leave the traces as they are, and a hostile
+//! checkpoint must still be refused. (Store budgets below the pool's own
+//! are covered by the unit tests in `pool.rs`.)
 
 use std::sync::Arc;
 
-use nemo::core::pool::{PoolConfig, PoolStats, RoundJob, SessionPool};
-use nemo::core::{IdpConfig, NemoSystem, SharedArtifacts, SimulatedUser};
+use nemo::core::pool::{
+    CheckpointStore, MemoryCheckpointStore, PoolConfig, PoolError, PoolStats, RoundJob, SessionPool,
+};
+use nemo::core::SimulatedUser;
+use nemo::core::{IdpConfig, NemoSystem, RestoreError, SessionCheckpoint, SharedArtifacts};
 use nemo::data::catalog::toy_text;
-use nemo::persist::FileCheckpointStore;
+use nemo::persist::{session_to_bytes, FileCheckpointStore};
 use proptest::prelude::*;
 
 /// Everything a run of one session observably produces.
@@ -33,6 +41,8 @@ struct Trace {
     posterior_bits: Vec<u64>,
     /// Final test score bits.
     test_bits: u64,
+    /// The final checkpoint, encoded.
+    checkpoint_bytes: Vec<u8>,
 }
 
 fn session_cfg(rounds: usize, seed: u64) -> IdpConfig {
@@ -61,6 +71,7 @@ fn standalone_trace(arts: &SharedArtifacts, cfg: &IdpConfig, rounds: usize) -> T
             .map(|p| p.to_bits())
             .collect(),
         test_bits: nemo.test_score().to_bits(),
+        checkpoint_bytes: session_to_bytes(&nemo.checkpoint()),
     }
 }
 
@@ -76,7 +87,21 @@ fn pooled_traces(
     batched: bool,
     twist: u64,
 ) -> (Vec<Trace>, PoolStats) {
-    let mut pool = SessionPool::new(arts, pool_config);
+    let store = Box::new(MemoryCheckpointStore::new());
+    pooled_traces_in(arts, cfgs, rounds, pool_config, store, batched, twist)
+}
+
+/// [`pooled_traces`] with an explicit checkpoint store.
+fn pooled_traces_in(
+    arts: &SharedArtifacts,
+    cfgs: &[IdpConfig],
+    rounds: usize,
+    pool_config: PoolConfig,
+    store: Box<dyn CheckpointStore>,
+    batched: bool,
+    twist: u64,
+) -> (Vec<Trace>, PoolStats) {
+    let mut pool = SessionPool::with_store(arts, pool_config, store);
     let ids: Vec<_> = cfgs.iter().map(|c| pool.admit(c.clone()).expect("admit")).collect();
     let k = ids.len();
     let mut users: Vec<SimulatedUser> = (0..k).map(|_| SimulatedUser::default()).collect();
@@ -133,11 +158,13 @@ fn pooled_traces(
                     )
                 })
                 .expect("session readable");
+            let ckpt = pool.checkpoint_of(ids[j]).expect("checkpoint readable");
             Trace {
                 selections: selections[j].clone(),
                 percentiles: percentiles[j].clone(),
                 posterior_bits,
                 test_bits,
+                checkpoint_bytes: session_to_bytes(&ckpt),
             }
         })
         .collect();
@@ -288,5 +315,113 @@ fn sixty_four_sessions_share_one_artifact_set() {
             })
             .unwrap();
         assert_eq!(got, want.posterior_bits, "session {j} posterior diverged");
+    }
+}
+
+/// The pivot store keeps pooled traces bit-identical to the standalone
+/// runs (selections, chosen percentiles, score bits, checkpoint bytes),
+/// through the in-memory and the file checkpoint store, serial and
+/// batched, at the ambient `NEMO_THREADS` worker count.
+#[test]
+fn pivot_store_keeps_traces_bit_identical() {
+    let arts = Arc::new(SharedArtifacts::new(toy_text(2)));
+    let rounds = 6;
+    let cfgs: Vec<IdpConfig> = (0..4u64).map(|j| session_cfg(rounds, 1200 + j)).collect();
+    let want: Vec<Trace> = cfgs.iter().map(|c| standalone_trace(&arts, c, rounds)).collect();
+    let dir = std::env::temp_dir().join(format!("nemo-pivot-difftest-{}", std::process::id()));
+    for file in [false, true] {
+        for batched in [false, true] {
+            let store: Box<dyn CheckpointStore> = if file {
+                std::fs::create_dir_all(&dir).unwrap();
+                Box::new(FileCheckpointStore::new(&dir))
+            } else {
+                Box::new(MemoryCheckpointStore::new())
+            };
+            let pool_config = PoolConfig { max_resident: 2, workers: None, ..Default::default() };
+            let (traces, stats) =
+                pooled_traces_in(&arts, &cfgs, rounds, pool_config, store, batched, 1);
+            let case = format!("file {file} batched {batched}");
+            for (j, (got, want)) in traces.iter().zip(&want).enumerate() {
+                assert_eq!(got, want, "session {j} diverged ({case})");
+            }
+            assert!(stats.restores > 0, "undersized pool must restore ({case})");
+            assert!(stats.rows_reused > 0, "restored rounds adopt stored rows ({case})");
+            if file {
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
+    }
+}
+
+/// A checkpoint store that rewrites one session's lineage on load so its
+/// first LF names a development example outside the training split.
+struct HostileStore {
+    inner: MemoryCheckpointStore,
+    target: u64,
+    dev_example: u32,
+}
+
+impl CheckpointStore for HostileStore {
+    fn save(&mut self, id: u64, ckpt: &SessionCheckpoint) -> Result<(), String> {
+        self.inner.save(id, ckpt)
+    }
+
+    fn load(&mut self, id: u64) -> Result<SessionCheckpoint, String> {
+        let mut ckpt = self.inner.load(id)?;
+        if id == self.target {
+            ckpt.lineage[0].dev_example = self.dev_example;
+        }
+        Ok(ckpt)
+    }
+
+    fn remove(&mut self, id: u64) -> Result<(), String> {
+        self.inner.remove(id)
+    }
+}
+
+/// Against a populated pivot store, a checkpoint whose lineage names an
+/// out-of-range development example gets a typed `RestoreError` on both
+/// restore paths, and the pool keeps serving its other sessions.
+#[test]
+fn hostile_lineage_is_refused_against_a_populated_store() {
+    let arts = Arc::new(SharedArtifacts::new(toy_text(2)));
+    let n_train = arts.dataset().train.n() as u32;
+    for dev_example in [n_train, n_train + 7, u32::MAX] {
+        for batched in [false, true] {
+            let store =
+                HostileStore { inner: MemoryCheckpointStore::new(), target: 1, dev_example };
+            let pool_config = PoolConfig { max_resident: 1, workers: None, ..Default::default() };
+            let mut pool = SessionPool::with_store(&arts, pool_config, Box::new(store));
+            let mut users = [SimulatedUser::default(), SimulatedUser::default()];
+            let honest = pool.admit(session_cfg(6, 31)).unwrap();
+            for _ in 0..3 {
+                pool.run_round(honest, &mut users[0]).unwrap();
+            }
+            // The target runs a round (so its lineage is non-empty), then
+            // the honest session's restore evicts it to the store.
+            let target = pool.admit(session_cfg(6, 32)).unwrap();
+            assert_eq!(target.raw(), 1);
+            pool.run_round(target, &mut users[1]).unwrap();
+            pool.run_round(honest, &mut users[0]).unwrap();
+            assert!(pool.stats().rows_reused > 0, "the store is populated");
+            let refused = if batched {
+                let mut jobs = vec![RoundJob::new(target, &mut users[1])];
+                pool.run_rounds(&mut jobs).map(|_| ())
+            } else {
+                pool.run_round(target, &mut users[1]).map(|_| ())
+            };
+            assert!(
+                matches!(
+                    refused,
+                    Err(PoolError::Restore {
+                        id: 1,
+                        source: RestoreError::LineageOutOfDomain { lf: 0 }
+                    })
+                ),
+                "dev example {dev_example} batched {batched}: {refused:?}"
+            );
+            assert!(!pool.is_resident(target));
+            pool.run_round(honest, &mut users[0]).unwrap();
+        }
     }
 }
